@@ -7,7 +7,9 @@
 #      divisor, and a non-positive ps increment must each be flagged with
 #      its stable --diag-json tag, and --analyze must exit nonzero;
 #   3. self-validation gates — the in-tree mutation harness (>= 95% of
-#      injected violations caught) and the dynamic soundness replay;
+#      injected violations caught), the dynamic soundness replay, the
+#      analysis-output golden (loop/spawn xmtsmith programs, registry,
+#      corpus) and the rangeAt property test;
 #   4. clang-tidy over src/compiler/analysis/ when the tool is installed
 #      (skipped gracefully otherwise — the container does not ship it).
 set -euo pipefail
@@ -20,7 +22,15 @@ cmake --build build -j "$(nproc)" --target xmtcc xmt_tests
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
+# Wall seconds since $1 (a `date +%s.%N` stamp). The two clean-baseline
+# sweeps run the widening fixpoint, which the compile benchmark never
+# reaches, so their times are where a loop-analysis slowdown shows.
+elapsed() {
+  awk -v t0="$1" -v t1="$(date +%s.%N)" 'BEGIN { printf "%.2f", t1 - t0 }'
+}
+
 echo "== clean baseline: registry workloads x -O0/1/2 =="
+t0=$(date +%s.%N)
 while read -r name _; do
   for opt in -O0 -O1 -O2; do
     if ! ./build/examples/xmtcc --analyze "$opt" --workload "$name" \
@@ -31,8 +41,10 @@ while read -r name _; do
     fi
   done
 done < <(./build/examples/xmtcc --list-workloads)
+echo "registry x -O0/1/2 --analyze sweep: $(elapsed "$t0") s wall"
 
 echo "== clean baseline: differential-fuzzing corpus =="
+t0=$(date +%s.%N)
 for f in tests/corpus/*.xmtc; do
   if ! ./build/examples/xmtcc --analyze "$f" > "$out/lint.log" 2>&1; then
     echo "corpus program $f is not lint-clean:" >&2
@@ -40,6 +52,7 @@ for f in tests/corpus/*.xmtc; do
     exit 1
   fi
 done
+echo "corpus --analyze sweep: $(elapsed "$t0") s wall"
 
 echo "== seeded violations are flagged with stable tags =="
 cat > "$out/oob.xc" <<'EOF'
@@ -79,6 +92,10 @@ check_seeded "$out/ps.xc" xmt-ps-discipline
 echo "== mutation harness + dynamic soundness replay =="
 ./build/tests/xmt_tests \
   --gtest_filter='MutationHarness.*:SoundnessReplay.*:CleanBaseline.*'
+
+echo "== analysis-output golden + rangeAt property =="
+./build/tests/xmt_tests \
+  --gtest_filter='AnalysisGolden.*:RangeAtProperty.*'
 
 if command -v clang-tidy > /dev/null 2>&1; then
   echo "== clang-tidy over src/compiler/analysis/ =="

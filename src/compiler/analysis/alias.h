@@ -29,7 +29,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/compiler/analysis/dataflow.h"
@@ -58,14 +58,17 @@ struct AbsVal {
 
   Kind kind = Kind::kBottom;
   Base base = Base::kNone;
-  std::string sym;       // when base == kSym
+  // Names are views into the IR module's own strings (kLa symbols and
+  // IrFunc::vregNames), which outlive every analysis of the module, so
+  // copying or meeting a value copies no string.
+  std::string_view sym;  // when base == kSym
   int origin = kOriginNone;
   bool uniqueOrigin = false;  // origin provably distinct across threads
   std::int64_t scale = 0;  // coefficient of the origin term (0 iff no origin)
   VRange off{0, 0};        // constant offset (the value itself for constants)
   /// Best-effort provenance for diagnostics (variable or symbol name).
   /// Not part of the lattice: survives degradation, excluded from ==.
-  std::string hint;
+  std::string_view hint;
 
   static AbsVal unknown() {
     AbsVal r;
@@ -85,12 +88,12 @@ struct AbsVal {
     return r;
   }
   /// Opaque handle for a def site whose value the algebra cannot express.
-  static AbsVal opaque(int siteId, std::string hintName = "") {
+  static AbsVal opaque(int siteId, std::string_view hintName = {}) {
     AbsVal r;
     r.kind = Kind::kValue;
     r.origin = siteId;
     r.scale = 1;
-    r.hint = std::move(hintName);
+    r.hint = hintName;
     return r;
   }
 
@@ -153,9 +156,19 @@ struct MemSite {
 /// its memory sites. Uses (and populates) the manager's cached CFG and
 /// reaching-definitions solutions. Optional sharpeners:
 ///   * `summaries` substitutes callee return values at call sites;
-///   * `ranges` supplies numeric facts (the `x & mask` identity);
+///   * `ranges` supplies numeric facts (the `x & mask` identity) and prunes
+///     blocks the interval engine proves unreachable;
 ///   * `seedParamOrigins` seeds the incoming argument registers with
 ///     symbolic param origins — used when building this function's summary.
+///
+/// The analysis consumers do not build their own: AnalysisManager::values
+/// owns one resolver per function and argument seed, shared by the
+/// summaries, the value lints, the race lint and mcheck. The fixpoint
+/// walks blocks in RPO on a flat per-register state and re-walks a block
+/// only when a definition reaching it changed, so a loop-free function
+/// converges in one sweep. Abstract values view the module's strings
+/// (AbsVal::sym, AbsVal::hint): the IrModule must outlive the resolver and
+/// everything copied out of it.
 class ValueResolver {
  public:
   explicit ValueResolver(const IrFunc& fn, AnalysisManager& am,

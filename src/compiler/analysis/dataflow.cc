@@ -1,7 +1,11 @@
 #include "src/compiler/analysis/dataflow.h"
 
 #include <algorithm>
+#include <array>
 
+#include "src/compiler/analysis/alias.h"
+#include "src/compiler/analysis/summary.h"
+#include "src/compiler/analysis/xmtai.h"
 #include "src/isa/isa.h"
 
 namespace xmt::analysis {
@@ -208,6 +212,15 @@ ReachingDefsResult computeReachingDefs(const IrFunc& fn, const Cfg& cfg) {
   return r;
 }
 
+struct AnalysisManager::Solution {
+  std::array<VRange, kMaxSummaryParams> seed;
+  std::unique_ptr<RangeAnalysis> ranges;
+  std::unique_ptr<ValueResolver> values, paramValues;
+};
+
+AnalysisManager::AnalysisManager() = default;
+AnalysisManager::~AnalysisManager() = default;
+
 const Cfg& AnalysisManager::cfg(const IrFunc& fn) {
   Entry& e = cache_[&fn];
   if (!e.hasCfg) {
@@ -233,6 +246,46 @@ const ReachingDefsResult& AnalysisManager::reachingDefs(const IrFunc& fn) {
     e.hasReach = true;
   }
   return e.reach;
+}
+
+AnalysisManager::Solution& AnalysisManager::solution(
+    const IrFunc& fn, const ModuleSummaries* sums, const VRange* paramRanges) {
+  // The seed as the interval engine reads it: only the function's own
+  // argument registers, and only ranges narrower than TOP.
+  std::array<VRange, kMaxSummaryParams> seed;
+  seed.fill(VRange::full32());
+  if (paramRanges != nullptr)
+    for (int i = 0; i < fn.nParams && i < kMaxSummaryParams; ++i)
+      if (!paramRanges[i].isFull32())
+        seed[static_cast<std::size_t>(i)] = paramRanges[i];
+  const Cfg& c = cfg(fn);
+  Entry& e = cache_[&fn];
+  for (const auto& s : e.solutions)
+    if (s->seed == seed) return *s;
+  auto s = std::make_unique<Solution>();
+  s->seed = seed;
+  s->ranges = std::make_unique<RangeAnalysis>(fn, c, sums, seed.data());
+  e.solutions.push_back(std::move(s));
+  return *e.solutions.back();
+}
+
+const RangeAnalysis& AnalysisManager::ranges(const IrFunc& fn,
+                                             const ModuleSummaries* sums,
+                                             const VRange* paramRanges) {
+  return *solution(fn, sums, paramRanges).ranges;
+}
+
+const ValueResolver& AnalysisManager::values(const IrFunc& fn,
+                                             const ModuleSummaries* sums,
+                                             const VRange* paramRanges,
+                                             bool paramOrigins) {
+  Solution& s = solution(fn, sums, paramRanges);
+  paramOrigins = paramOrigins && fn.nParams > 0;
+  std::unique_ptr<ValueResolver>& v = paramOrigins ? s.paramValues : s.values;
+  if (v == nullptr)
+    v = std::make_unique<ValueResolver>(fn, *this, sums, s.ranges.get(),
+                                        paramOrigins);
+  return *v;
 }
 
 void AnalysisManager::invalidate(const IrFunc& fn) { cache_.erase(&fn); }

@@ -7,11 +7,13 @@
 // typical CFGs converge in a couple of sweeps. Built-in problem instances —
 // liveness and reaching definitions — serve both the optimizer (dead-code
 // elimination) and the race detector; AnalysisManager caches per-function
-// results so stacked passes do not recompute them.
+// results, the xmtai solutions included, so stacked passes do not
+// recompute them.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -140,22 +142,57 @@ struct ReachingDefsResult {
 };
 ReachingDefsResult computeReachingDefs(const IrFunc& fn, const Cfg& cfg);
 
-/// Memoizes per-function analyses keyed by function identity. The IR must
-/// not change between queries; call invalidate() after transforming it.
+class RangeAnalysis;
+class ValueResolver;
+struct ModuleSummaries;
+struct VRange;
+
+/// Memoizes per-function analyses keyed by function identity, one manager
+/// per module: the CFG, liveness and reaching definitions, and the xmtai
+/// interval and value solutions, which are further keyed by the seed of
+/// the incoming argument ranges. Each solution is computed once and shared
+/// by every consumer (summaries, value lints, race lint, mcheck), so a
+/// function without parameters is solved once in total.
+///
+/// The IR must not change between queries; invalidate() drops everything
+/// cached for a function — after transforming it, or once its last
+/// consumer is done, to free the solutions. All range and value queries on
+/// one manager must pass the same module's summaries (or none): a solution
+/// reads them only for callee return summaries, which are final before a
+/// caller is first solved (buildModuleSummaries works bottom-up).
 class AnalysisManager {
  public:
+  AnalysisManager();
+  ~AnalysisManager();
+  AnalysisManager(const AnalysisManager&) = delete;
+  AnalysisManager& operator=(const AnalysisManager&) = delete;
+
   const Cfg& cfg(const IrFunc& fn);
   const LivenessResult& liveness(const IrFunc& fn);
   const ReachingDefsResult& reachingDefs(const IrFunc& fn);
+  /// Interval solution with the arguments seeded from `paramRanges`
+  /// (nullable: all TOP).
+  const RangeAnalysis& ranges(const IrFunc& fn, const ModuleSummaries* sums,
+                              const VRange* paramRanges);
+  /// Value solution over ranges(fn, sums, paramRanges). `paramOrigins`
+  /// seeds the arguments with symbolic param origins instead (summary
+  /// building); for a function without parameters it changes nothing.
+  const ValueResolver& values(const IrFunc& fn, const ModuleSummaries* sums,
+                              const VRange* paramRanges,
+                              bool paramOrigins = false);
   void invalidate(const IrFunc& fn);
 
  private:
+  struct Solution;  // the solutions for one argument seed
   struct Entry {
     bool hasCfg = false, hasLive = false, hasReach = false;
     Cfg cfg;
     LivenessResult live;
     ReachingDefsResult reach;
+    std::vector<std::unique_ptr<Solution>> solutions;
   };
+  Solution& solution(const IrFunc& fn, const ModuleSummaries* sums,
+                     const VRange* paramRanges);
   std::map<const IrFunc*, Entry> cache_;
 };
 

@@ -123,13 +123,9 @@ void analyzeFunction(const IrFunc& fn, AnalysisManager& am,
   if (entries.empty()) return;
 
   const Cfg& cfg = am.cfg(fn);
-  const VRange* params = nullptr;
-  if (summaries != nullptr)
-    if (const FuncSummary* s = summaries->find(fn.name);
-        s != nullptr && !s->recursive)
-      params = s->paramRanges.data();
-  RangeAnalysis ranges(fn, am, summaries, params);
-  ValueResolver resolver(fn, am, summaries, &ranges);
+  const ValueResolver& resolver = am.values(
+      fn, summaries,
+      summaries != nullptr ? summaries->paramRangesOf(fn.name) : nullptr);
   const ReachingDefsResult& rd = am.reachingDefs(fn);
   DefUse du(fn, rd);
 
@@ -150,7 +146,7 @@ void analyzeFunction(const IrFunc& fn, AnalysisManager& am,
     if (!inRegion[static_cast<std::size_t>(m.block)] || !m.write) continue;
     if (m.addr.isValue() && m.addr.base == AbsVal::Base::kSym &&
         m.addr.origin >= 0 && m.addr.uniqueOrigin)
-      out.orderPermutedSymbols.insert(m.addr.sym);
+      out.orderPermutedSymbols.insert(std::string(m.addr.sym));
   }
 
   // Pass 2: private memory lines (plain loads/stores only; one impure site
@@ -161,8 +157,8 @@ void analyzeFunction(const IrFunc& fn, AnalysisManager& am,
     privateSeen.insert(m.srcLine);
     if (!m.threadPrivate) privatePoisoned.insert(m.srcLine);
     if (m.addr.isValue() && m.addr.base == AbsVal::Base::kSym) {
-      acc.privSeen.insert(m.addr.sym);
-      if (!m.threadPrivate) acc.privPoisoned.insert(m.addr.sym);
+      acc.privSeen.insert(std::string(m.addr.sym));
+      if (!m.threadPrivate) acc.privPoisoned.insert(std::string(m.addr.sym));
     } else {
       acc.privUnknownPoison = true;  // could alias any symbol
     }
@@ -197,7 +193,7 @@ void analyzeFunction(const IrFunc& fn, AnalysisManager& am,
           if (asValue) {
             if (in.op == IOp::kPsm) return false;  // order-visible increment
             if (!(m.threadPrivate && m.addr.base == AbsVal::Base::kSym &&
-                  out.orderPermutedSymbols.count(m.addr.sym) != 0))
+                  out.orderPermutedSymbols.count(std::string(m.addr.sym)) != 0))
               return false;
             continue;
           }
@@ -238,8 +234,8 @@ void analyzeFunction(const IrFunc& fn, AnalysisManager& am,
         const MemSite* m = it != siteOfInstr.end() ? it->second : nullptr;
         if (m != nullptr && m->addr.isValue() &&
             m->addr.base == AbsVal::Base::kSym) {
-          acc.psmSeen.insert(m->addr.sym);
-          if (!ok) acc.psmPoisoned.insert(m->addr.sym);
+          acc.psmSeen.insert(std::string(m->addr.sym));
+          if (!ok) acc.psmPoisoned.insert(std::string(m->addr.sym));
         } else if (!ok) {
           // A non-commuting psm that could land anywhere: no psm symbol
           // may be trusted.
@@ -265,8 +261,10 @@ McStaticFacts computeMcFacts(const IrModule& mod,
     summaries = &local;
   }
   FactAcc acc;
-  for (const IrFunc& fn : mod.funcs)
+  for (const IrFunc& fn : mod.funcs) {
     analyzeFunction(fn, am, summaries, facts, acc);
+    am.invalidate(fn);  // the function's last consumer is done
+  }
   for (int g : acc.grSeen)
     if (acc.grPoisoned.count(g) == 0) facts.commutativePsGrs.insert(g);
   if (!acc.psmUnknownPoison)

@@ -44,7 +44,7 @@ std::vector<int> regionBlocks(const IrFunc& fn, const Cfg& cfg, int entry) {
 /// Bucket key: the symbolic base two accesses must share to be comparable.
 std::string bucketKey(const AbsVal& addr) {
   switch (addr.base) {
-    case AbsVal::Base::kSym: return addr.sym;
+    case AbsVal::Base::kSym: return std::string(addr.sym);
     case AbsVal::Base::kFrame: return "<frame>";
     case AbsVal::Base::kNone: return "<absolute>";
   }
@@ -115,7 +115,7 @@ struct Reporter {
 /// Name for an unresolved-address report: the value's provenance hint, the
 /// source name of the address vreg, or "<unknown>".
 std::string unresolvedName(const IrFunc& fn, const MemSite& m) {
-  if (!m.addr.hint.empty()) return m.addr.hint;
+  if (!m.addr.hint.empty()) return std::string(m.addr.hint);
   if (auto it = fn.vregNames.find(m.addrReg); it != fn.vregNames.end())
     return it->second;
   return "<unknown>";
@@ -189,14 +189,9 @@ void analyzeFunctionRaces(const IrFunc& fn, AnalysisManager& am,
   if (entries.empty()) return;
 
   const Cfg& cfg = am.cfg(fn);
-  const VRange* params = nullptr;
-  if (summaries != nullptr) {
-    if (const FuncSummary* s = summaries->find(fn.name);
-        s != nullptr && !s->recursive)
-      params = s->paramRanges.data();
-  }
-  RangeAnalysis ranges(fn, am, summaries, params);
-  ValueResolver resolver(fn, am, summaries, &ranges);
+  const ValueResolver& resolver = am.values(
+      fn, summaries,
+      summaries != nullptr ? summaries->paramRangesOf(fn.name) : nullptr);
 
   // A def-site origin is uniform (thread-invariant) when it was defined in
   // serial code: the functional model broadcasts the master's state, so
@@ -224,19 +219,6 @@ void analyzeFunctionRaces(const IrFunc& fn, AnalysisManager& am,
     }
     checkRegion(fn, regionSites, uniformOrigin, rep);
   }
-}
-
-std::vector<Diagnostic> analyzeModuleRaces(const IrModule& mod,
-                                           const ModuleSummaries* summaries) {
-  std::vector<Diagnostic> diags;
-  AnalysisManager am;
-  for (const IrFunc& fn : mod.funcs)
-    analyzeFunctionRaces(fn, am, diags, summaries);
-  std::sort(diags.begin(), diags.end(),
-            [](const Diagnostic& a, const Diagnostic& b) {
-              return a.line < b.line;
-            });
-  return diags;
 }
 
 void applyExplorationVerdicts(std::vector<Diagnostic>& diags, bool verified) {

@@ -47,16 +47,13 @@ namespace xmt::analysis {
 
 struct ModuleSummaries;
 
-/// Runs the detector over one function (no-op unless it spawns).
+/// Runs the detector over one function (no-op unless it spawns), on the
+/// value solution `am` holds for it (see AnalysisManager::values).
 /// Diagnostics are appended with Severity::kWarning; the caller decides
-/// whether warnings are fatal.
+/// whether warnings are fatal. runModuleAnalysis runs it per function.
 void analyzeFunctionRaces(const IrFunc& fn, AnalysisManager& am,
                           std::vector<Diagnostic>& out,
                           const ModuleSummaries* summaries = nullptr);
-
-/// Runs the detector over every function of the module.
-std::vector<Diagnostic> analyzeModuleRaces(
-    const IrModule& mod, const ModuleSummaries* summaries = nullptr);
 
 /// Feeds model-checking verdicts back into the lint output: when xmtmc has
 /// *exhaustively* verified every spawn region of the program free of races

@@ -44,10 +44,9 @@ VRange returnRange(const IrFunc& fn, const RangeAnalysis& ra) {
   VRange ret = VRange::empty();
   for (const IrBlock& b : fn.blocks) {
     if (!ra.blockReachable(b.id)) continue;
-    ra.forEachInstr(b.id, [&](int i, const RangeAnalysis::State& st) {
-      if (b.instrs[static_cast<std::size_t>(i)].op == IOp::kRet)
-        ret = ret.joined(RangeAnalysis::stateOf(st, kV0));
-    });
+    for (std::size_t i = 0; i < b.instrs.size(); ++i)
+      if (b.instrs[i].op == IOp::kRet)
+        ret = ret.joined(ra.rangeAt(b.id, static_cast<int>(i), kV0));
   }
   return ret.isEmpty() ? VRange::full32() : ret;
 }
@@ -68,9 +67,9 @@ ModuleSummaries buildModuleSummaries(const IrModule& mod,
     const IrFunc& fn = mod.funcs[static_cast<std::size_t>(fi)];
     FuncSummary& s = out.byName[fn.name];
     if (s.recursive) continue;
-    RangeAnalysis ra(fn, am, &out, nullptr);
-    s.ret = returnRange(fn, ra);
-    ValueResolver vr(fn, am, &out, &ra, /*seedParamOrigins=*/true);
+    s.ret = returnRange(fn, am.ranges(fn, &out, nullptr));
+    const ValueResolver& vr =
+        am.values(fn, &out, nullptr, /*paramOrigins=*/true);
     if (exportableReturn(vr.returnValue())) s.retSym = vr.returnValue();
   }
 
@@ -88,13 +87,12 @@ ModuleSummaries buildModuleSummaries(const IrModule& mod,
             s.paramRanges[static_cast<std::size_t>(p)] =
                 it->second[static_cast<std::size_t>(p)];
     }
-    const VRange* params = s.recursive ? nullptr : s.paramRanges.data();
-    RangeAnalysis ra(fn, am, &out, params);
+    const RangeAnalysis& ra = am.ranges(fn, &out, out.paramRangesOf(fn.name));
     for (const IrBlock& b : fn.blocks) {
       if (!ra.blockReachable(b.id)) continue;
-      ra.forEachInstr(b.id, [&](int i, const RangeAnalysis::State& st) {
-        const IrInstr& in = b.instrs[static_cast<std::size_t>(i)];
-        if (in.op != IOp::kCall) return;
+      for (std::size_t i = 0; i < b.instrs.size(); ++i) {
+        const IrInstr& in = b.instrs[i];
+        if (in.op != IOp::kCall) continue;
         auto it = seen.find(in.sym);
         if (it == seen.end()) {
           std::array<VRange, kMaxSummaryParams> init;
@@ -104,9 +102,9 @@ ModuleSummaries buildModuleSummaries(const IrModule& mod,
         for (std::size_t p = 0; p < in.args.size() &&
                                 p < static_cast<std::size_t>(kMaxSummaryParams);
              ++p)
-          it->second[p] =
-              it->second[p].joined(RangeAnalysis::stateOf(st, in.args[p]));
-      });
+          it->second[p] = it->second[p].joined(
+              ra.rangeAt(b.id, static_cast<int>(i), in.args[p]));
+      }
     }
   }
   return out;

@@ -35,7 +35,7 @@ inline constexpr int kSummaryArgRegs[kMaxSummaryParams] = {
 
 struct FuncSummary {
   VRange ret = VRange::full32();
-  AbsVal retSym;  // kind == kUnknown when inexpressible
+  AbsVal retSym;  // kind == kUnknown when inexpressible; views module strings
   std::array<VRange, kMaxSummaryParams> paramRanges{
       VRange::full32(), VRange::full32(), VRange::full32(), VRange::full32(),
       VRange::full32(), VRange::full32(), VRange::full32(), VRange::full32()};
@@ -48,6 +48,12 @@ struct ModuleSummaries {
     auto it = byName.find(name);
     return it == byName.end() ? nullptr : &it->second;
   }
+  /// The argument seed a function's lints analyze it under: its summarized
+  /// parameter ranges, or nullptr (TOP) when it is recursive or unknown.
+  const VRange* paramRangesOf(const std::string& name) const {
+    const FuncSummary* s = find(name);
+    return s != nullptr && !s->recursive ? s->paramRanges.data() : nullptr;
+  }
 };
 
 /// Applies a callee's symbolic return summary to concrete argument values.
@@ -57,7 +63,8 @@ AbsVal applyReturnSummary(const FuncSummary& s,
                           const std::vector<AbsVal>& argVals);
 
 /// Builds summaries for every function of the module: bottom-up return
-/// summaries, then a top-down argument-range pass.
+/// summaries, then a top-down argument-range pass. The range and value
+/// solutions it computes stay cached in `am` for the lints to reuse.
 ModuleSummaries buildModuleSummaries(const IrModule& mod,
                                      AnalysisManager& am);
 

@@ -1,8 +1,10 @@
 #include "src/compiler/analysis/xmtai.h"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "src/compiler/analysis/alias.h"
@@ -14,21 +16,13 @@ namespace xmt::analysis {
 
 namespace {
 
-// Global registers are tracked as pseudo-keys below the vreg space so the
-// spawn-bound staging (mtgr gr6/gr7 ... spawn) is visible to the engine.
-constexpr int kGrKeyBase = -100;
-int grKey(int gr) { return kGrKeyBase - gr; }
-
 // Fixpoint visits to one block before moved bounds are widened.
 constexpr int kWidenVisits = 3;
 
-void erasePhysRanges(RangeAnalysis::State& st, bool keepV0) {
-  for (auto it = st.begin(); it != st.end();) {
-    bool phys = it->first > 0 && it->first < kNumRegs;
-    bool gr = it->first <= kGrKeyBase;
-    it = (gr || (phys && !(keepV0 && it->first == kV0))) ? st.erase(it)
-                                                         : std::next(it);
-  }
+/// The register an instruction leaves a new value in: its dst, or v0 for a
+/// call (the callee's return).
+int definedReg(const IrInstr& in) {
+  return in.op == IOp::kCall ? kV0 : in.dst;
 }
 
 // Refines (a, b) under "rel(a, b) is `taken`"; empty result = edge dead.
@@ -79,24 +73,52 @@ std::pair<VRange, VRange> refineBranch(Op rel, bool taken, VRange a,
 
 }  // namespace
 
-VRange RangeAnalysis::stateOf(const State& st, int reg) {
-  if (reg == 0) return VRange::constant(0);
-  auto it = st.find(reg);
-  return it == st.end() ? VRange::full32() : it->second;
-}
+// A flat per-register state: one range per register, full32 meaning
+// nothing is known, plus the global registers, tracked so the spawn-bound
+// staging (mtgr gr6/gr7 ... spawn) is visible to the engine.
+struct RangeAnalysis::State {
+  std::vector<VRange> regs;
+  std::array<VRange, kNumGlobalRegs> grs;
+
+  VRange get(int reg) const {
+    if (reg == 0) return VRange::constant(0);
+    if (reg < 0 || static_cast<std::size_t>(reg) >= regs.size())
+      return VRange::full32();
+    return regs[static_cast<std::size_t>(reg)];
+  }
+  void set(int reg, const VRange& v) {
+    if (reg <= 0 || static_cast<std::size_t>(reg) >= regs.size()) return;
+    regs[static_cast<std::size_t>(reg)] = v.isFull32() ? VRange::full32() : v;
+  }
+  VRange gr(int g) const {
+    return g >= 0 && g < kNumGlobalRegs ? grs[static_cast<std::size_t>(g)]
+                                        : VRange::full32();
+  }
+  void setGr(int g, const VRange& v) {
+    if (g >= 0 && g < kNumGlobalRegs) grs[static_cast<std::size_t>(g)] = v;
+  }
+  /// Drops the transient staging: every physical register (v0 too unless
+  /// `keepV0`) and every global register.
+  void clobber(bool keepV0) {
+    for (int r = 1; r < kNumRegs; ++r)
+      if (!(keepV0 && r == kV0))
+        regs[static_cast<std::size_t>(r)] = VRange::full32();
+    grs.fill(VRange::full32());
+  }
+  void load(const std::vector<Fact>& entry) {
+    std::fill(regs.begin(), regs.end(), VRange::full32());
+    for (const Fact& f : entry) regs[static_cast<std::size_t>(f.reg)] = f.range;
+    grs.fill(VRange::full32());
+  }
+};
 
 void RangeAnalysis::transferInstr(const IrInstr& in, int block,
                                   State& st) const {
-  auto get = [&](int r) { return stateOf(st, r); };
-  auto set = [&](int r, VRange v) {
-    if (v.isFull32())
-      st.erase(r);
-    else
-      st[r] = v;
-  };
+  auto get = [&](int r) { return st.get(r); };
+  auto set = [&](int r, const VRange& v) { st.set(r, v); };
   switch (in.op) {
     case IOp::kCall: {
-      erasePhysRanges(st, /*keepV0=*/false);
+      st.clobber(/*keepV0=*/false);
       VRange ret = VRange::full32();
       if (sums_ != nullptr) {
         if (const FuncSummary* s = sums_->find(in.sym);
@@ -107,13 +129,13 @@ void RangeAnalysis::transferInstr(const IrInstr& in, int block,
       return;
     }
     case IOp::kSys:
-      erasePhysRanges(st, /*keepV0=*/false);
+      st.clobber(/*keepV0=*/false);
       return;
     case IOp::kMtgr:
-      st[grKey(in.imm)] = get(in.a);
+      st.setGr(in.imm, get(in.a));
       return;
     case IOp::kPs:
-      st.erase(grKey(in.imm));  // the counter advanced
+      st.setGr(in.imm, VRange::full32());  // the counter advanced
       break;
     default:
       break;
@@ -163,14 +185,10 @@ void RangeAnalysis::transferInstr(const IrInstr& in, int block,
     case IOp::kLoadB:
       set(in.dst, VRange::of(0, 255));  // lbu: byte loads are unsigned
       break;
-    case IOp::kGetTid: {
-      int region = regionOf_[static_cast<std::size_t>(block)];
-      auto it = region >= 0 ? tidOfRegion_.find(region)
-                            : tidOfRegion_.end();
-      set(in.dst, it == tidOfRegion_.end() ? VRange::full32() : it->second);
+    case IOp::kGetTid:
+      set(in.dst, tidRangeOf(block));
       break;
-    }
-    case IOp::kMfgr: set(in.dst, get(grKey(in.imm))); break;
+    case IOp::kMfgr: set(in.dst, st.gr(in.imm)); break;
     case IOp::kPs:
     case IOp::kPsm:
     case IOp::kLoadW:
@@ -182,13 +200,14 @@ void RangeAnalysis::transferInstr(const IrInstr& in, int block,
   }
 }
 
-RangeAnalysis::RangeAnalysis(const IrFunc& fn, AnalysisManager& am,
+RangeAnalysis::RangeAnalysis(const IrFunc& fn, const Cfg& cfg,
                              const ModuleSummaries* summaries,
                              const VRange* paramRanges)
-    : fn_(fn), sums_(summaries) {
-  const Cfg& cfg = am.cfg(fn);
+    : fn_(fn),
+      sums_(summaries),
+      nregs_(static_cast<std::size_t>(std::max(fn.nextVreg, kNumRegs))) {
   std::size_t n = fn.blocks.size();
-  in_.assign(n, State{});
+  entry_.assign(n, {});
   reached_.assign(n, false);
   regionOf_.assign(n, -1);
 
@@ -212,32 +231,88 @@ RangeAnalysis::RangeAnalysis(const IrFunc& fn, AnalysisManager& am,
   for (std::size_t i = 0; i < cfg.rpo.size(); ++i)
     rpoPos[static_cast<std::size_t>(cfg.rpo[i])] = static_cast<int>(i);
 
-  State entry;
   if (paramRanges != nullptr) {
     for (int i = 0; i < fn.nParams && i < kMaxSummaryParams; ++i)
       if (!paramRanges[i].isFull32())
-        entry[kSummaryArgRegs[i]] = paramRanges[i];
+        entry_[0].push_back({kSummaryArgRegs[i], paramRanges[i]});
+    std::sort(entry_[0].begin(), entry_[0].end(),
+              [](const Fact& x, const Fact& y) { return x.reg < y.reg; });
   }
-  in_[0] = std::move(entry);
   reached_[0] = true;
 
+  State st, out;
+  st.regs.resize(nregs_);
+  out.regs.resize(nregs_);
+  std::vector<Fact> merged;
   std::vector<int> visits(n, 0);
   std::set<std::pair<int, int>> work;  // (rpo position, block)
   work.insert({rpoPos[0], 0});
+
+  // Joins `out` into the entry state of `succ`, widening after a few
+  // visits. `refinedA`/`refinedB` are registers the branch just refined:
+  // they are exempt, since their bound is derived from the other operand's
+  // (converging) range, and widening would throw the refinement away — the
+  // classic `while (q < 8)` carrier would jump from [0,7] to [0, 2^31).
+  auto propagate = [&](int succ, State& o, int refinedA, int refinedB) {
+    o.clobber(/*keepV0=*/true);
+    auto si = static_cast<std::size_t>(succ);
+    std::vector<Fact>& target = entry_[si];
+    if (!reached_[si]) {
+      reached_[si] = true;
+      for (std::size_t r = 1; r < nregs_; ++r)
+        if (!o.regs[r].isFull32())
+          target.push_back({static_cast<int>(r), o.regs[r]});
+      work.insert({rpoPos[si], succ});
+      return;
+    }
+    // A register TOP on either side stays TOP, so the join keeps a subset
+    // of the target's registers, in order.
+    merged.clear();
+    for (const Fact& f : target) {
+      VRange j = f.range.joined(o.get(f.reg));
+      if (!j.isFull32()) merged.push_back({f.reg, j});
+    }
+    auto same = [&] {
+      if (merged.size() != target.size()) return false;
+      for (std::size_t i = 0; i < merged.size(); ++i)
+        if (merged[i].reg != target[i].reg ||
+            !(merged[i].range == target[i].range))
+          return false;
+      return true;
+    };
+    if (same()) return;
+    if (++visits[si] > kWidenVisits) {
+      std::size_t kept = 0, t = 0;
+      for (Fact f : merged) {
+        while (target[t].reg != f.reg) ++t;
+        if (f.reg != refinedA && f.reg != refinedB) {
+          f.range = f.range.widened32(target[t].range);
+          if (f.range.isFull32()) continue;
+        }
+        merged[kept++] = f;
+      }
+      merged.resize(kept);
+    }
+    if (!same()) {
+      target.swap(merged);
+      work.insert({rpoPos[si], succ});
+    }
+  };
+
   while (!work.empty()) {
     int b = work.begin()->second;
     work.erase(work.begin());
     auto bi = static_cast<std::size_t>(b);
     const IrBlock& blk = fn_.blocks[bi];
-    State st = in_[bi];
+    st.load(entry_[bi]);
     for (const IrInstr& in : blk.instrs)
       if (!in.isTerminator() && in.op != IOp::kSpawn)
         transferInstr(in, b, st);
 
     // Spawn-bound capture: tid of the region is [gr6.lo, gr7.hi] as staged.
     if (!blk.instrs.empty() && blk.instrs.back().op == IOp::kSpawn) {
-      VRange lo = stateOf(st, grKey(kGrNextId));
-      VRange hi = stateOf(st, grKey(kGrHigh));
+      VRange lo = st.gr(kGrNextId);
+      VRange hi = st.gr(kGrHigh);
       VRange tid = VRange::of(lo.lo, hi.hi);
       if (tid.isEmpty()) tid = VRange::full32();
       auto [it, fresh] =
@@ -254,105 +329,86 @@ RangeAnalysis::RangeAnalysis(const IrFunc& fn, AnalysisManager& am,
       }
     }
 
-    auto propagate = [&](int succ, State out,
-                         const std::set<int>& refined = {}) {
-      erasePhysRanges(out, /*keepV0=*/true);
-      auto si = static_cast<std::size_t>(succ);
-      if (!reached_[si]) {
-        reached_[si] = true;
-        in_[si] = std::move(out);
-        work.insert({rpoPos[si], succ});
-        return;
-      }
-      State& target = in_[si];
-      State merged;
-      bool changed = false;
-      for (const auto& [reg, range] : target) {
-        VRange j = range.joined(stateOf(out, reg));
-        if (!j.isFull32()) merged[reg] = j;
-      }
-      if (merged.size() != target.size()) changed = true;
-      if (!changed)
-        for (const auto& [reg, range] : merged)
-          if (!(range == target.at(reg))) {
-            changed = true;
-            break;
-          }
-      if (!changed) return;
-      if (++visits[si] > kWidenVisits)
-        for (auto it = merged.begin(); it != merged.end();) {
-          // A register the branch just refined is exempt: its bound is
-          // derived from the other operand's (converging) range, and
-          // widening it would throw the refinement away — the classic
-          // `while (q < 8)` carrier would jump from [0,7] to [0, 2^31).
-          if (refined.count(it->first) != 0) {
-            ++it;
-            continue;
-          }
-          VRange w = it->second.widened32(stateOf(target, it->first));
-          if (w.isFull32())
-            it = merged.erase(it);
-          else
-            (it++)->second = w;
-        }
-      if (!(merged == target)) {
-        target = std::move(merged);
-        work.insert({rpoPos[si], succ});
-      }
-    };
-
     if (!blk.instrs.empty() && blk.instrs.back().op == IOp::kBr) {
       const IrInstr& br = blk.instrs.back();
-      VRange a = stateOf(st, br.a), b2 = stateOf(st, br.b);
+      VRange a = st.get(br.a), b2 = st.get(br.b);
       for (bool taken : {true, false}) {
         auto [ra, rb] = refineBranch(br.rel, taken, a, b2);
         if (ra.isEmpty() || rb.isEmpty()) continue;  // edge cannot execute
-        State out = st;
-        std::set<int> refined;
+        out.regs = st.regs;
+        out.grs = st.grs;
+        int refinedA = -1, refinedB = -1;
         if (br.a != 0) {
-          if (ra.isFull32()) {
-            out.erase(br.a);
-          } else {
-            out[br.a] = ra;
-            refined.insert(br.a);
-          }
+          out.set(br.a, ra);
+          if (!ra.isFull32()) refinedA = br.a;
         }
         if (br.b != 0) {
-          if (rb.isFull32()) {
-            out.erase(br.b);
-          } else {
-            out[br.b] = rb;
-            refined.insert(br.b);
-          }
+          out.set(br.b, rb);
+          if (!rb.isFull32()) refinedB = br.b;
         }
-        propagate(taken ? br.t1 : br.t2, std::move(out), refined);
+        propagate(taken ? br.t1 : br.t2, out, refinedA, refinedB);
       }
     } else {
-      for (int s : cfg.succ[bi]) propagate(s, st);
+      for (int s : cfg.succ[bi]) {
+        out.regs = st.regs;
+        out.grs = st.grs;
+        propagate(s, out, -1, -1);
+      }
     }
   }
+
+  // One forward sweep over the converged entry states records what each
+  // instruction reads and what it defines.
+  firstInstr_.assign(n + 1, 0);
+  for (std::size_t b = 0; b < n; ++b)
+    firstInstr_[b + 1] = firstInstr_[b] + fn.blocks[b].instrs.size();
+  defRange_.assign(firstInstr_[n], VRange::full32());
+  firstUse_.assign(firstInstr_[n] + 1, 0);
+  std::vector<int> regs;
+  for (std::size_t b = 0; b < n; ++b) {
+    const IrBlock& blk = fn.blocks[b];
+    std::size_t base = firstInstr_[b];
+    if (reached_[b]) st.load(entry_[b]);
+    for (std::size_t i = 0; i < blk.instrs.size(); ++i) {
+      firstUse_[base + i] = uses_.size();
+      if (!reached_[b]) continue;
+      const IrInstr& in = blk.instrs[i];
+      regs.clear();
+      collectUses(in, regs);
+      for (int r : regs) uses_.push_back({r, st.get(r)});
+      transferInstr(in, static_cast<int>(b), st);
+      if (definedReg(in) >= 0) defRange_[base + i] = st.get(definedReg(in));
+    }
+  }
+  firstUse_[firstInstr_[n]] = uses_.size();
 }
 
 VRange RangeAnalysis::rangeAt(int block, int instr, int reg) const {
   auto bi = static_cast<std::size_t>(block);
-  if (bi >= reached_.size() || !reached_[bi]) return VRange::full32();
-  State st = in_[bi];
-  const IrBlock& blk = fn_.blocks[bi];
-  for (int i = 0; i < instr && i < static_cast<int>(blk.instrs.size()); ++i)
-    transferInstr(blk.instrs[static_cast<std::size_t>(i)], block, st);
-  return stateOf(st, reg);
-}
-
-void RangeAnalysis::forEachInstr(
-    int block, const std::function<void(int, const State&)>& cb) const {
-  auto bi = static_cast<std::size_t>(block);
-  if (bi >= reached_.size() || !reached_[bi]) return;
-  State st = in_[bi];
-  const IrBlock& blk = fn_.blocks[bi];
-  for (std::size_t i = 0; i < blk.instrs.size(); ++i) {
-    cb(static_cast<int>(i), st);
-    transferInstr(blk.instrs[i], block, st);
+  if (block < 0 || bi >= reached_.size() || !reached_[bi])
+    return VRange::full32();
+  if (reg == 0) return VRange::constant(0);
+  if (reg < 0 || static_cast<std::size_t>(reg) >= nregs_)
+    return VRange::full32();
+  const std::vector<IrInstr>& instrs = fn_.blocks[bi].instrs;
+  instr = std::clamp(instr, 0, static_cast<int>(instrs.size()));
+  std::size_t at = firstInstr_[bi] + static_cast<std::size_t>(instr);
+  if (static_cast<std::size_t>(instr) < instrs.size())
+    for (std::size_t u = firstUse_[at]; u < firstUse_[at + 1]; ++u)
+      if (uses_[u].reg == reg) return uses_[u].range;
+  bool phys = reg < kNumRegs;
+  for (int j = instr - 1; j >= 0; --j) {
+    const IrInstr& in = instrs[static_cast<std::size_t>(j)];
+    if (definedReg(in) == reg)
+      return defRange_[firstInstr_[bi] + static_cast<std::size_t>(j)];
+    if (phys && (in.op == IOp::kCall || in.op == IOp::kSys))
+      return VRange::full32();
   }
+  const std::vector<Fact>& entry = entry_[bi];
+  auto it = std::lower_bound(
+      entry.begin(), entry.end(), reg,
+      [](const Fact& f, int r) { return f.reg < r; });
+  return it != entry.end() && it->reg == reg ? it->range : VRange::full32();
 }
 
 const VRange& RangeAnalysis::tidRangeOf(int block) const {
@@ -366,20 +422,28 @@ const VRange& RangeAnalysis::tidRangeOf(int block) const {
 
 namespace {
 
-/// Byte size of a data symbol, or -1 when unknown.
-std::int64_t symbolSize(const IrModule& mod, const std::string& name) {
+/// Byte size of each data symbol of a module (the first definition of a
+/// label wins).
+using SymbolExtents = std::unordered_map<std::string_view, std::int64_t>;
+
+SymbolExtents symbolExtents(const IrModule& mod) {
+  SymbolExtents out;
   for (const IrData& d : mod.data) {
-    if (d.label != name) continue;
+    std::int64_t size = 0;
     switch (d.kind) {
       case IrData::Kind::kWords:
-        return static_cast<std::int64_t>(d.words.size()) * 4;
+        size = static_cast<std::int64_t>(d.words.size()) * 4;
+        break;
       case IrData::Kind::kSpace:
-        return static_cast<std::int64_t>(d.spaceBytes);
+        size = static_cast<std::int64_t>(d.spaceBytes);
+        break;
       case IrData::Kind::kAscii:
-        return static_cast<std::int64_t>(d.str.size()) + 1;
+        size = static_cast<std::int64_t>(d.str.size()) + 1;
+        break;
     }
+    out.try_emplace(d.label, size);
   }
-  return -1;
+  return out;
 }
 
 // "Informative" interval: both ends derived from real constraints rather
@@ -393,25 +457,24 @@ bool informative(const VRange& r) {
 
 class Linter {
  public:
-  Linter(const IrModule& mod, const AiConfig& cfg,
-         const ModuleSummaries& sums, std::vector<Diagnostic>& out)
-      : mod_(mod), cfg_(cfg), sums_(sums), out_(out) {}
+  Linter(const AiConfig& cfg, const ModuleSummaries& sums,
+         const SymbolExtents& extents, AnalysisManager& am,
+         std::vector<Diagnostic>& out)
+      : cfg_(cfg), sums_(sums), extents_(extents), am_(am), out_(out) {}
 
   void runFunction(const IrFunc& fn) {
-    AnalysisManager am;
-    const VRange* params = nullptr;
-    if (const FuncSummary* s = sums_.find(fn.name);
-        s != nullptr && !s->recursive)
-      params = s->paramRanges.data();
-    RangeAnalysis ra(fn, am, &sums_, params);
+    const VRange* seed = sums_.paramRangesOf(fn.name);
+    const RangeAnalysis& ra = am_.ranges(fn, &sums_, seed);
     if (cfg_.divZero || cfg_.shift || cfg_.psDiscipline) {
       for (const IrBlock& b : fn.blocks) {
-        ra.forEachInstr(b.id, [&](int i, const RangeAnalysis::State& st) {
-          lintInstr(b.instrs[static_cast<std::size_t>(i)], st);
-        });
+        if (!ra.blockReachable(b.id)) continue;
+        for (std::size_t i = 0; i < b.instrs.size(); ++i)
+          lintInstr(b.instrs[i], [&](int reg) {
+            return ra.rangeAt(b.id, static_cast<int>(i), reg);
+          });
       }
     }
-    if (cfg_.bounds) lintBounds(fn, am, ra);
+    if (cfg_.bounds) lintBounds(fn, ra, am_.values(fn, &sums_, seed));
   }
 
  private:
@@ -431,13 +494,15 @@ class Linter {
     return "[" + std::to_string(r.lo) + ", " + std::to_string(r.hi) + "]";
   }
 
-  void lintInstr(const IrInstr& in, const RangeAnalysis::State& st) {
+  /// `rangeOf(reg)`: the register's range entering `in`.
+  template <typename RangeOf>
+  void lintInstr(const IrInstr& in, const RangeOf& rangeOf) {
     switch (in.op) {
       case IOp::kDiv:
       case IOp::kRem: {
         if (!cfg_.divZero) return;
         const char* what = in.op == IOp::kDiv ? "division" : "remainder";
-        VRange b = RangeAnalysis::stateOf(st, in.b);
+        VRange b = rangeOf(in.b);
         if (b.isConst() && b.lo == 0) {
           report(DiagCode::kDivByZero, in.srcLine, "",
                  std::string(what) + " by zero (traps at runtime)");
@@ -452,7 +517,7 @@ class Linter {
       case IOp::kSrlv:
       case IOp::kSrav: {
         if (!cfg_.shift) return;
-        VRange b = RangeAnalysis::stateOf(st, in.b);
+        VRange b = rangeOf(in.b);
         if (informative(b) && (b.lo < 0 || b.hi > 31))
           report(DiagCode::kShiftRange, in.srcLine, "",
                  "shift amount range " + rangeStr(b) +
@@ -473,7 +538,7 @@ class Linter {
         // `psm` is deliberately exempt: it doubles as a general atomic add,
         // where negative increments are meaningful.
         if (!cfg_.psDiscipline) return;
-        VRange inc = RangeAnalysis::stateOf(st, in.a);
+        VRange inc = rangeOf(in.a);
         if (!inc.isEmpty() && inc.hi <= 0)
           report(DiagCode::kPsNonPositive, in.srcLine, "",
                  "prefix-sum increment range " + rangeStr(inc) +
@@ -492,9 +557,8 @@ class Linter {
   /// per-register interval carries — may-warnings are suppressed under such
   /// guards (definite errors never are).
   static std::vector<bool> relationallyGuarded(const IrFunc& fn,
-                                               AnalysisManager& am,
+                                               const Cfg& cfg,
                                                const RangeAnalysis& ra) {
-    const Cfg& cfg = am.cfg(fn);
     std::size_t nb = cfg.numBlocks();
     std::vector<int> guards;
     for (std::size_t b = 0; b < nb; ++b) {
@@ -545,15 +609,27 @@ class Linter {
     return out;
   }
 
-  void lintBounds(const IrFunc& fn, AnalysisManager& am,
-                  const RangeAnalysis& ra) {
-    ValueResolver vr(fn, am, &sums_, &ra);
-    std::vector<bool> relGuarded = relationallyGuarded(fn, am, ra);
+  void lintBounds(const IrFunc& fn, const RangeAnalysis& ra,
+                  const ValueResolver& vr) {
+    std::vector<bool> relGuarded = relationallyGuarded(fn, am_.cfg(fn), ra);
+    const ReachingDefsResult& rd = am_.reachingDefs(fn);
+    // Copies of each opaque origin: the defs whose abstract value is
+    // exactly `origin + c` carry the origin value in their register.
+    std::vector<std::vector<int>> copiesOf(rd.sites.size());
+    for (std::size_t sid = 0; sid < rd.sites.size(); ++sid) {
+      const AbsVal& dv = vr.valueOfDef(static_cast<int>(sid));
+      if (dv.isValue() && dv.base == AbsVal::Base::kNone && dv.origin >= 0 &&
+          static_cast<std::size_t>(dv.origin) < copiesOf.size() &&
+          dv.scale == 1 && dv.off.isConst())
+        copiesOf[static_cast<std::size_t>(dv.origin)].push_back(
+            static_cast<int>(sid));
+    }
     for (const MemSite& m : vr.memorySites()) {
       if (!ra.blockReachable(m.block)) continue;
       if (!m.addr.isValue() || m.addr.base != AbsVal::Base::kSym) continue;
-      std::int64_t size = symbolSize(mod_, m.addr.sym);
-      if (size < 0) continue;
+      auto extent = extents_.find(m.addr.sym);
+      if (extent == extents_.end()) continue;
+      std::int64_t size = extent->second;
       // Concretize the origin term where a numeric range is known.
       VRange term = VRange::constant(0);
       if (m.addr.origin == kOriginTid) {
@@ -562,24 +638,17 @@ class Linter {
         // Opaque handle / ps result: its def site is still a register the
         // interval engine may bound (a loaded value under a guard — the
         // `if (0 <= g && g < n) A[g]` idiom).
-        const ReachingDefsResult& rd = am.reachingDefs(fn);
         const DefSite& osite =
             rd.sites[static_cast<std::size_t>(m.addr.origin)];
         VRange n = ra.rangeAt(osite.block, osite.instr + 1, osite.vreg);
         // The interval engine keys refinements by register, and a guard may
         // test a *copy* of the origin (`int g = G; if (g < n) A[g]`: the
-        // branch refines g's home register, not the load's). Every def whose
-        // abstract value is exactly `origin + c` carries the origin value in
-        // its register; where such a def still solely owns that register at
-        // the access, the use-point state (which has seen the guard) bounds
-        // the origin too.
-        for (std::size_t sid = 0; sid < rd.sites.size(); ++sid) {
-          const AbsVal& dv = vr.valueOfDef(static_cast<int>(sid));
-          if (!dv.isValue() || dv.base != AbsVal::Base::kNone ||
-              dv.origin != m.addr.origin || dv.scale != 1 ||
-              !dv.off.isConst())
-            continue;
-          const DefSite& s = rd.sites[sid];
+        // branch refines g's home register, not the load's). Where such a
+        // copy still solely owns its register at the access, the use-point
+        // state (which has seen the guard) bounds the origin too.
+        for (int sid : copiesOf[static_cast<std::size_t>(m.addr.origin)]) {
+          const AbsVal& dv = vr.valueOfDef(sid);
+          const DefSite& s = rd.sites[static_cast<std::size_t>(sid)];
           bool solo;
           if (s.block == m.block && s.instr < m.instr) {
             solo = true;
@@ -588,11 +657,12 @@ class Linter {
                       .dst == s.vreg)
                 solo = false;
           } else {
-            solo = rd.flow.in[static_cast<std::size_t>(m.block)].test(sid);
+            solo = rd.flow.in[static_cast<std::size_t>(m.block)].test(
+                static_cast<std::size_t>(sid));
             auto it = rd.sitesOfVreg.find(s.vreg);
             if (solo && it != rd.sitesOfVreg.end())
               for (int other : it->second)
-                if (static_cast<std::size_t>(other) != sid &&
+                if (other != sid &&
                     rd.flow.in[static_cast<std::size_t>(m.block)].test(
                         static_cast<std::size_t>(other)))
                   solo = false;
@@ -616,25 +686,27 @@ class Linter {
       if (addr.isEmpty()) continue;
       std::int64_t first = addr.lo, last = addr.hi + m.sizeBytes - 1;
       const char* what = m.atomic ? "psm" : m.write ? "store" : "load";
+      std::string sym(m.addr.sym);
       if (last < 0 || first >= size) {
-        report(DiagCode::kBoundsOutOfRange, m.srcLine, m.addr.sym,
+        report(DiagCode::kBoundsOutOfRange, m.srcLine, sym,
                std::string(what) + " at byte offset " + rangeStr(addr) +
-                   " is entirely outside '" + m.addr.sym + "' (" +
+                   " is entirely outside '" + sym + "' (" +
                    std::to_string(size) + " bytes)");
       } else if (informative(addr) && (first < 0 || last >= size) &&
                  !(relGuarded[static_cast<std::size_t>(m.block)] &&
                    !m.addr.off.isConst())) {
-        report(DiagCode::kBoundsMayExceed, m.srcLine, m.addr.sym,
+        report(DiagCode::kBoundsMayExceed, m.srcLine, sym,
                std::string(what) + " at byte offset " + rangeStr(addr) +
-                   " can exceed '" + m.addr.sym + "' (" +
+                   " can exceed '" + sym + "' (" +
                    std::to_string(size) + " bytes)");
       }
     }
   }
 
-  const IrModule& mod_;
   const AiConfig& cfg_;
   const ModuleSummaries& sums_;
+  const SymbolExtents& extents_;
+  AnalysisManager& am_;
   std::vector<Diagnostic>& out_;
   std::set<std::pair<int, int>> seen_;  // (code, line) dedup
 };
@@ -652,14 +724,19 @@ std::vector<Diagnostic> runModuleAnalysis(const IrModule& mod, bool races,
   if (!races && !cfg.any()) return out;
   AnalysisManager am;
   ModuleSummaries sums = buildModuleSummaries(mod, am);
-  if (cfg.any()) {
-    Linter linter(mod, cfg, sums, out);
-    for (const IrFunc& fn : mod.funcs) linter.runFunction(fn);
+  SymbolExtents extents = symbolExtents(mod);
+  Linter linter(cfg, sums, extents, am, out);
+  std::vector<Diagnostic> raceDiags;
+  for (const IrFunc& fn : mod.funcs) {
+    if (cfg.any()) linter.runFunction(fn);
+    if (races) analyzeFunctionRaces(fn, am, raceDiags, &sums);
+    am.invalidate(fn);  // the function's last consumer is done
   }
-  if (races) {
-    std::vector<Diagnostic> rd = analyzeModuleRaces(mod, &sums);
-    out.insert(out.end(), rd.begin(), rd.end());
-  }
+  std::sort(raceDiags.begin(), raceDiags.end(),
+            [](const Diagnostic& a, const Diagnostic& b) {
+              return a.line < b.line;
+            });
+  out.insert(out.end(), raceDiags.begin(), raceDiags.end());
   std::stable_sort(out.begin(), out.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {
                      return a.line < b.line;

@@ -9,11 +9,19 @@
 // [lo.lo, hi.hi]); call results get the callee's summarized return range.
 //
 // Consumers:
+//   * the interprocedural summaries (summary.h);
 //   * the default-on lints (bounds / div-by-zero / shift-range /
 //     ps-discipline), run through `analyzeModuleValues`;
-//   * the race lint, which shares summaries via `runModuleAnalysis`;
-//   * the -O2 range-driven simplification pass in opt.cc, which queries a
-//     summary-free RangeAnalysis per function.
+//   * the race lint (racecheck.h) and the model checker's static facts
+//     (mcheck.h);
+//   * the -O2 range-driven simplification pass in opt.cc, which builds a
+//     summary-free RangeAnalysis per function for the IR it rewrites.
+//
+// Ownership: within one module the first four share one AnalysisManager
+// (dataflow.h), which owns each function's RangeAnalysis and ValueResolver
+// (alias.h), computed once per argument seed. `runModuleAnalysis` and
+// `computeMcFacts` free a function's solutions once its last consumer is
+// done with them.
 //
 // Lint philosophy (matching the PR-1 race lint): warnings fire only on
 // facts the analysis can *bound*. A definite violation (every execution of
@@ -23,7 +31,6 @@
 // registry workloads and the fuzz corpus warning-free.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -40,23 +47,28 @@ struct ModuleSummaries;
 /// tracked block-locally (plus kV0 across blocks — every return site
 /// redefines it after the last call, so its reaching value is exact);
 /// other phys regs reset to TOP at block entry and at calls/syscalls.
+///
+/// Blocks are walked on a flat per-register state; a block-entry state
+/// keeps only its registers narrower than TOP, in register order (few
+/// registers are, and a function may have hundreds of blocks and over a
+/// thousand registers). One forward sweep over the converged entry states
+/// then records every instruction's operand ranges and the range it leaves
+/// in the register it defines, so queries replay nothing. Consumers share
+/// one solution per IR version and argument seed through
+/// AnalysisManager::ranges.
 class RangeAnalysis {
  public:
-  using State = std::map<int, VRange>;  // missing vreg => full32
-
   /// `paramRanges` (nullable) seeds the incoming argument registers;
   /// `summaries` (nullable) resolves call-site return ranges.
-  RangeAnalysis(const IrFunc& fn, AnalysisManager& am,
-                const ModuleSummaries* summaries,
-                const VRange* paramRanges);
+  RangeAnalysis(const IrFunc& fn, const Cfg& cfg,
+                const ModuleSummaries* summaries, const VRange* paramRanges);
 
-  /// Range of `reg` in the state entering instruction `instr` of `block`.
+  /// Range of `reg` in the state entering instruction `instr` of `block`
+  /// (an `instr` past the end: the block's exit state). Constant time for
+  /// the instruction's operands and the previous instruction's def; any
+  /// other register walks back to its last def in the block, or reads the
+  /// block-entry state. full32 on unreachable blocks.
   VRange rangeAt(int block, int instr, int reg) const;
-
-  /// Replays the transfer over `block`, invoking `cb(instrIdx, state)` with
-  /// the state *before* each instruction. No-op on unreachable blocks.
-  void forEachInstr(int block,
-                    const std::function<void(int, const State&)>& cb) const;
 
   /// Thread-ID range of a parallel block (full32 for serial blocks or when
   /// the spawn bounds are unknown).
@@ -66,17 +78,28 @@ class RangeAnalysis {
     return reached_[static_cast<std::size_t>(block)];
   }
 
-  static VRange stateOf(const State& st, int reg);
-
  private:
+  struct State;
+  /// A register's range: an operand read, or one non-TOP register of a
+  /// block-entry state.
+  struct Fact {
+    int reg;
+    VRange range;
+  };
+
   void transferInstr(const IrInstr& in, int block, State& st) const;
 
   const IrFunc& fn_;
   const ModuleSummaries* sums_;
-  std::vector<State> in_;        // per-block entry states
+  std::size_t nregs_;
+  std::vector<std::vector<Fact>> entry_;  // block -> non-TOP entry facts
   std::vector<bool> reached_;
-  std::vector<int> regionOf_;    // parallel block -> region entry block
+  std::vector<int> regionOf_;      // parallel block -> region entry block
   std::map<int, VRange> tidOfRegion_;
+  std::vector<std::size_t> firstInstr_;  // block -> its first instruction
+  std::vector<VRange> defRange_;   // instruction -> value it leaves behind
+  std::vector<std::size_t> firstUse_;    // instruction -> its first use
+  std::vector<Fact> uses_;         // operand ranges, instruction order
   VRange full_ = VRange::full32();
 };
 

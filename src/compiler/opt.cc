@@ -240,8 +240,7 @@ void deadCodeElim(IrFunc& fn) {
 }  // namespace
 
 bool rangeSimplify(IrFunc& fn) {
-  analysis::AnalysisManager am;
-  analysis::RangeAnalysis ra(fn, am, nullptr, nullptr);
+  analysis::RangeAnalysis ra(fn, analysis::buildCfg(fn), nullptr, nullptr);
   using analysis::VRange;
 
   // Collect rewrites against the unmutated ranges, then apply: every

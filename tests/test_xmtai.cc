@@ -10,18 +10,27 @@
 //     the functional model with a dynamic bounds oracle (no data-segment
 //     access may fall outside every symbol extent);
 //   * a clean-baseline sweep — all registry workloads compile with every
-//     lint on and produce zero diagnostics.
+//     lint on and produce zero diagnostics;
+//   * an analysis-output golden over the loop/spawn programs the compile
+//     benchmark never reaches (the widening fixpoint), and a property test
+//     of RangeAnalysis::rangeAt against a replay of the block prefix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/compiler/analysis/alias.h"
+#include "src/common/digest.h"
 #include "src/compiler/analysis/dataflow.h"
+#include "src/compiler/analysis/mcheck.h"
 #include "src/compiler/analysis/summary.h"
 #include "src/compiler/analysis/vrange.h"
 #include "src/compiler/analysis/xmtai.h"
@@ -32,6 +41,7 @@
 #include "src/compiler/transforms.h"
 #include "src/sim/plugins.h"
 #include "src/sim/simulator.h"
+#include "src/testing/xmtsmith.h"
 #include "src/workloads/registry.h"
 
 namespace xmt {
@@ -477,7 +487,7 @@ int main() {
 )");
   analysis::AnalysisManager am;
   const IrFunc& fn = mod.funcs.at(0);
-  analysis::RangeAnalysis ra(fn, am, nullptr, nullptr);
+  analysis::RangeAnalysis ra(fn, am.cfg(fn), nullptr, nullptr);
   analysis::ValueResolver vr(fn, am, nullptr, &ra);
   const analysis::MemSite* store = nullptr;
   for (const auto& m : vr.memorySites())
@@ -879,5 +889,335 @@ TEST(CleanBaseline, AllRegistryWorkloadsLintSilent) {
   }
 }
 
+
+// --- Analysis-output golden -------------------------------------------------
+//
+// One digest per program family over every diagnostic the lints emit and
+// the model checker's static facts. The families are the ones the compile
+// benchmark never reaches: xmtsmith programs with loops (the widening
+// fixpoint) and spawn regions (race lint, mcheck), the registry kernels at
+// every optimization level (-O2 runs the range-driven simplifier, so its
+// assembly is hashed too), and the regression corpus. A change to the
+// analyses' cost must leave these digests as they are.
+
+struct GoldenProgram {
+  std::string name;
+  std::string source;
+};
+
+int countLoops(const std::vector<testing::GenStmtPtr>& body, int& spawns) {
+  int loops = 0;
+  for (const auto& st : body) {
+    if (st->kind == testing::GenStmt::Kind::kFor ||
+        st->kind == testing::GenStmt::Kind::kWhile)
+      ++loops;
+    if (st->kind == testing::GenStmt::Kind::kSpawn) ++spawns;
+    loops += countLoops(st->body, spawns) + countLoops(st->elseBody, spawns);
+  }
+  return loops;
+}
+
+/// The first 200 xmtsmith seeds whose program has a loop and a spawn.
+const std::vector<GoldenProgram>& smithPrograms() {
+  static const std::vector<GoldenProgram> progs = [] {
+    std::vector<GoldenProgram> out;
+    for (std::uint64_t seed = 1; out.size() < 200; ++seed) {
+      testing::GenProgram p = testing::generate(seed);
+      int spawns = 0;
+      int loops = countLoops(p.main, spawns);
+      for (const auto& f : p.funcs) loops += countLoops(f.body, spawns);
+      if (loops == 0 || spawns == 0) continue;
+      out.push_back({"smith-" + std::to_string(seed), p.render()});
+    }
+    return out;
+  }();
+  return progs;
+}
+
+const std::vector<GoldenProgram>& corpusPrograms() {
+  static const std::vector<GoldenProgram> progs = [] {
+    std::vector<std::filesystem::path> files;
+    for (const auto& e : std::filesystem::directory_iterator(
+             std::filesystem::path(__FILE__).parent_path() / "corpus"))
+      if (e.path().extension() == ".xmtc") files.push_back(e.path());
+    std::sort(files.begin(), files.end());
+    std::vector<GoldenProgram> out;
+    for (const auto& f : files) {
+      std::ifstream in(f);
+      std::stringstream text;
+      text << in.rdbuf();
+      out.push_back({f.filename().string(), text.str()});
+    }
+    return out;
+  }();
+  return progs;
+}
+
+const std::vector<GoldenProgram>& registryPrograms() {
+  static const std::vector<GoldenProgram> progs = [] {
+    std::vector<GoldenProgram> out;
+    for (const auto& w : workloads::workloadRegistry()) {
+      workloads::WorkloadInstance wi;
+      wi.name = w.name;
+      out.push_back({w.name, workloads::instanceSource(wi)});
+    }
+    return out;
+  }();
+  return progs;
+}
+
+void appendDiagnostics(std::string& text,
+                       const std::vector<Diagnostic>& ds) {
+  for (const Diagnostic& d : ds)
+    text += std::to_string(static_cast<int>(d.code)) + "|" +
+            std::to_string(static_cast<int>(d.severity)) + "|" +
+            std::to_string(d.line) + "|" + std::to_string(d.otherLine) +
+            "|" + d.symbol + "|" + d.message + "\n";
+}
+
+template <typename Set>
+void appendSet(std::string& text, const char* name, const Set& set) {
+  text += name;
+  for (const auto& v : set) {
+    std::ostringstream os;
+    os << ' ' << v;
+    text += os.str();
+  }
+  text += "\n";
+}
+
+void appendFacts(std::string& text, const analysis::McStaticFacts& f) {
+  appendSet(text, "commutative-lines", f.commutativeAtomicLines);
+  appendSet(text, "private-lines", f.privateMemLines);
+  appendSet(text, "permuted", f.orderPermutedSymbols);
+  appendSet(text, "ps-grs", f.commutativePsGrs);
+  appendSet(text, "psm-syms", f.commutativePsmSymbols);
+  appendSet(text, "private-syms", f.privateSymbols);
+  text += "regions " + std::to_string(f.regionCount) + "\n";
+}
+
+/// Race lint + value lints + mcheck facts on compileXmtc's lint lowering.
+std::string lintDigest(const std::vector<GoldenProgram>& progs) {
+  std::string text;
+  for (const GoldenProgram& p : progs) {
+    IrModule mod = lowerForAnalysis(p.source);
+    text += p.name + "\n";
+    appendDiagnostics(text, analysis::runModuleAnalysis(
+                                mod, /*races=*/true, analysis::AiConfig{}));
+    appendFacts(text, analysis::computeMcFacts(mod));
+  }
+  return hex64(fnv1a64(text));
+}
+
+TEST(AnalysisGolden, SmithLoopAndSpawnPrograms) {
+  ASSERT_EQ(smithPrograms().size(), 200u);
+  EXPECT_EQ(lintDigest(smithPrograms()), "053d698814e5569a");
+}
+
+TEST(AnalysisGolden, CorpusPrograms) {
+  ASSERT_GE(corpusPrograms().size(), 5u);
+  EXPECT_EQ(lintDigest(corpusPrograms()), "806ade0da188ce95");
+}
+
+TEST(AnalysisGolden, RegistryAtEveryOptLevel) {
+  std::string text;
+  for (const GoldenProgram& p : registryPrograms()) {
+    IrModule mod = lowerForAnalysis(p.source);
+    text += p.name + "\n";
+    appendFacts(text, analysis::computeMcFacts(mod));
+    for (int lvl : {0, 1, 2}) {
+      CompilerOptions opts;
+      opts.analyzeRaces = true;
+      opts.optLevel = lvl;
+      CompileResult r = compileXmtc(p.source, opts);
+      appendDiagnostics(text, r.diagnostics);
+      text += hex64(fnv1a64(r.asmText)) + "\n";
+    }
+  }
+  EXPECT_EQ(registryPrograms().size(), 17u);
+  EXPECT_EQ(hex64(fnv1a64(text)), "47c50c722d07bbbe");
+}
+
+// --- rangeAt against a replay of the block prefix ---------------------------
+
+// The reference: the state entering instruction i of a block is the block's
+// entry state with the transfer of instructions [0, i) applied, on an
+// ordered map of the registers that are not TOP. This is a test-local copy
+// of the transfer function the interval engine applies.
+class PrefixReplay {
+ public:
+  using State = std::map<int, VRange>;
+
+  PrefixReplay(const analysis::RangeAnalysis& ra,
+               const analysis::ModuleSummaries& sums)
+      : ra_(ra), sums_(sums) {}
+
+  static VRange get(const State& st, int reg) {
+    if (reg == 0) return VRange::constant(0);
+    auto it = st.find(reg);
+    return it == st.end() ? VRange::full32() : it->second;
+  }
+
+  void apply(const IrInstr& in, int block, State& st) const {
+    auto set = [&](int r, VRange v) {
+      if (v.isFull32())
+        st.erase(r);
+      else
+        st[r] = v;
+    };
+    switch (in.op) {
+      case IOp::kCall: {
+        clobber(st);
+        VRange ret = VRange::full32();
+        if (const analysis::FuncSummary* s = sums_.find(in.sym);
+            s != nullptr && !s->recursive)
+          ret = s->ret;
+        set(kV0, ret);
+        return;
+      }
+      case IOp::kSys:
+        clobber(st);
+        return;
+      case IOp::kMtgr:
+        st[grKey(in.imm)] = get(st, in.a);
+        return;
+      case IOp::kPs:
+        st.erase(grKey(in.imm));
+        break;
+      default:
+        break;
+    }
+    if (in.dst < 0) return;
+    VRange a = get(st, in.a), b = get(st, in.b);
+    VRange imm = VRange::constant(in.imm);
+    switch (in.op) {
+      case IOp::kLi: set(in.dst, imm); break;
+      case IOp::kCopy: set(in.dst, a); break;
+      case IOp::kAdd: set(in.dst, VRange::add32(a, b)); break;
+      case IOp::kAddi: set(in.dst, VRange::add32(a, imm)); break;
+      case IOp::kSub: set(in.dst, VRange::sub32(a, b)); break;
+      case IOp::kMul: set(in.dst, VRange::mul32(a, b)); break;
+      case IOp::kDiv: set(in.dst, VRange::div32(a, b)); break;
+      case IOp::kRem: set(in.dst, VRange::rem32(a, b)); break;
+      case IOp::kAnd: set(in.dst, VRange::and32(a, b)); break;
+      case IOp::kAndi: set(in.dst, VRange::and32(a, imm)); break;
+      case IOp::kOr: set(in.dst, VRange::or32(a, b)); break;
+      case IOp::kOri: set(in.dst, VRange::or32(a, imm)); break;
+      case IOp::kXor: set(in.dst, VRange::xor32(a, b)); break;
+      case IOp::kXori: set(in.dst, VRange::xor32(a, imm)); break;
+      case IOp::kNor: set(in.dst, VRange::nor32(a, b)); break;
+      case IOp::kSll: set(in.dst, VRange::sll32(a, imm)); break;
+      case IOp::kSrl: set(in.dst, VRange::srl32(a, imm)); break;
+      case IOp::kSra: set(in.dst, VRange::sra32(a, imm)); break;
+      case IOp::kSllv: set(in.dst, VRange::sll32(a, b)); break;
+      case IOp::kSrlv: set(in.dst, VRange::srl32(a, b)); break;
+      case IOp::kSrav: set(in.dst, VRange::sra32(a, b)); break;
+      case IOp::kSlt:
+      case IOp::kSlti: {
+        VRange rhs = in.op == IOp::kSlt ? b : imm;
+        if (a.hi < rhs.lo)
+          set(in.dst, VRange::constant(1));
+        else if (a.lo >= rhs.hi)
+          set(in.dst, VRange::constant(0));
+        else
+          set(in.dst, VRange::of(0, 1));
+        break;
+      }
+      case IOp::kSltu:
+      case IOp::kFeq:
+      case IOp::kFlt:
+      case IOp::kFle:
+        set(in.dst, VRange::of(0, 1));
+        break;
+      case IOp::kLoadB: set(in.dst, VRange::of(0, 255)); break;
+      case IOp::kGetTid: set(in.dst, ra_.tidRangeOf(block)); break;
+      case IOp::kMfgr: set(in.dst, get(st, grKey(in.imm))); break;
+      default: set(in.dst, VRange::full32()); break;
+    }
+  }
+
+ private:
+  static int grKey(int gr) { return -100 - gr; }
+
+  static void clobber(State& st) {
+    for (auto it = st.begin(); it != st.end();)
+      it = (it->first <= -100 || (it->first > 0 && it->first < kNumRegs))
+               ? st.erase(it)
+               : std::next(it);
+  }
+
+  const analysis::RangeAnalysis& ra_;
+  const analysis::ModuleSummaries& sums_;
+};
+
+/// Checks rangeAt at every instruction of `fn` for the instruction's
+/// operands, the defs of the instructions around it and two physical
+/// registers; returns the number of queries, counting mismatches in `bad`.
+long checkRangeAt(const IrFunc& fn, const analysis::RangeAnalysis& ra,
+                  const analysis::ModuleSummaries& sums, int& bad,
+                  std::string& firstBad) {
+  PrefixReplay ref(ra, sums);
+  long queries = 0;
+  std::vector<int> probe;
+  for (const IrBlock& blk : fn.blocks) {
+    if (!ra.blockReachable(blk.id)) continue;
+    PrefixReplay::State st;
+    for (int r = 1; r < fn.nextVreg; ++r) {
+      VRange v = ra.rangeAt(blk.id, 0, r);
+      if (!v.isFull32()) st[r] = v;
+    }
+    auto n = static_cast<int>(blk.instrs.size());
+    for (int i = 0; i <= n + 1; ++i) {
+      probe.assign({0, kV0, kA0});
+      if (i < n) analysis::collectUses(blk.instrs[static_cast<std::size_t>(i)],
+                                       probe);
+      for (int j = std::max(0, i - 4); j < std::min(n, i + 4); ++j)
+        probe.push_back(blk.instrs[static_cast<std::size_t>(j)].dst);
+      for (int r : probe) {
+        ++queries;
+        VRange got = ra.rangeAt(blk.id, i, r);
+        VRange want = PrefixReplay::get(st, r);
+        if (got == want) continue;
+        if (bad++ == 0)
+          firstBad = fn.name + " block " + std::to_string(blk.id) +
+                     " instr " + std::to_string(i) + " reg " +
+                     std::to_string(r) + ": [" + std::to_string(got.lo) +
+                     ", " + std::to_string(got.hi) + "] vs [" +
+                     std::to_string(want.lo) + ", " +
+                     std::to_string(want.hi) + "]";
+      }
+      if (i < n) ref.apply(blk.instrs[static_cast<std::size_t>(i)], blk.id, st);
+    }
+  }
+  return queries;
+}
+
+TEST(RangeAtProperty, AgreesWithPrefixReplay) {
+  std::vector<GoldenProgram> progs = smithPrograms();
+  for (const auto* family : {&corpusPrograms(), &registryPrograms()})
+    progs.insert(progs.end(), family->begin(), family->end());
+  long queries = 0;
+  int seededFuncs = 0, bad = 0;
+  std::string firstBad;
+  for (const GoldenProgram& p : progs) {
+    IrModule mod = lowerForAnalysis(p.source);
+    analysis::AnalysisManager am;
+    analysis::ModuleSummaries sums = analysis::buildModuleSummaries(mod, am);
+    for (const IrFunc& fn : mod.funcs) {
+      const analysis::FuncSummary* s = sums.find(fn.name);
+      bool hasSeed = fn.nParams > 0 && s != nullptr && !s->recursive;
+      seededFuncs += hasSeed ? 1 : 0;
+      // Without parameter seeds, then with the summarized ones.
+      queries += checkRangeAt(fn, am.ranges(fn, &sums, nullptr), sums, bad,
+                              firstBad);
+      if (hasSeed)
+        queries += checkRangeAt(fn, am.ranges(fn, &sums, s->paramRanges.data()),
+                                sums, bad, firstBad);
+    }
+  }
+  EXPECT_GT(seededFuncs, 0);
+  EXPECT_GT(queries, 100000);
+  EXPECT_EQ(bad, 0) << "first mismatch: " << firstBad;
+}
 }  // namespace
 }  // namespace xmt
