@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Build and run the full test suite under AddressSanitizer + UBSan, then the
-# concurrency-sensitive suites (PDES engine, thread pool, campaign runner)
-# under ThreadSanitizer. Separate build trees so the normal build/ stays
-# untouched.
+# multi-threaded suites (thread pool, campaign runner, simulation server:
+# coalescer, job queue, end to end) under ThreadSanitizer. Separate build
+# trees so the normal build/ stays untouched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,8 +19,8 @@ echo "== ASan + UBSan: xmtmc sweep (DPOR replay machinery) =="
 cmake --build build-sanitize -j "$(nproc)" --target xmtmc
 ./build-sanitize/examples/xmtmc --registry --mutants --quiet
 
-echo "== TSan: PDES + thread pool + campaign =="
+echo "== TSan: thread pool + campaign + server =="
 cmake -B build-tsan -S . -DXMT_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$(nproc)" --target xmt_tests
 ./build-tsan/tests/xmt_tests \
-  --gtest_filter='*Pdes*:*GoldenStats*:*ThreadPool*:Campaign.*'
+  --gtest_filter='*ThreadPool*:Campaign.*:Coalescer.*:JobQueue.*:ServerE2E.*'

@@ -12,10 +12,6 @@
 //   --config <fpga64|chip1024|custom>   machine model       (default fpga64)
 //   --set key=value                     config override (repeatable)
 //   --mode <cycle|functional>           simulation mode     (default cycle)
-//   --pdes-shards <N>                   run the cycle-accurate engine on N
-//                                       parallel event-loop shards (stats
-//                                       stay bit-identical to sequential;
-//                                       ignored with --trace/--hotmem)
 //   --map <file>                        memory-map input file
 //   --emit-asm                          print generated assembly and exit
 //   --emit-transformed                  print the outlining pre-pass output
@@ -106,7 +102,6 @@ int main(int argc, char** argv) {
   std::string sourcePath, mapPath, configName = "fpga64", workloadName;
   std::vector<std::string> overrides, workloadOverrides, dumps;
   bool listWorkloads = false;
-  int pdesShards = 1;
   bool emitAsm = false, emitTransformed = false, wantStats = false,
        hotmem = false, analyzeOnly = false, raceCheck = false;
   bool modelCheck = false, mcPrune = true, haveRaceSeed = false;
@@ -135,8 +130,7 @@ int main(int argc, char** argv) {
       std::string m = next();
       opts.mode = m == "functional" ? xmt::SimMode::kFunctional
                                     : xmt::SimMode::kCycleAccurate;
-    } else if (arg == "--pdes-shards") pdesShards = std::atoi(next().c_str());
-    else if (arg == "--map") mapPath = next();
+    } else if (arg == "--map") mapPath = next();
     else if (arg == "--emit-asm") emitAsm = true;
     else if (arg == "--emit-transformed") emitTransformed = true;
     else if (arg == "--dump") dumps.push_back(next());
@@ -319,8 +313,6 @@ int main(int argc, char** argv) {
 
     auto sim = std::make_unique<xmt::Simulator>(xmt::assemble(cr.asmText),
                                                 opts.config, opts.mode);
-    if (pdesShards > 1 && opts.mode == xmt::SimMode::kCycleAccurate)
-      sim->setPdesShards(pdesShards);
     xmt::RaceCheckPlugin* racePlugin = nullptr;
     std::unique_ptr<xmt::RandomScheduleRunner> seedRunner;
     if (raceCheck) {

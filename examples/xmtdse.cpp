@@ -13,9 +13,6 @@
 // Options:
 //   --out <dir>       output directory   (default campaign-<name>)
 //   --workers <N>     worker threads     (default: hardware concurrency)
-//   --pdes-shards <N> run each cycle-accurate point on N parallel event-loop
-//                     shards (records stay bit-identical; pool workers are
-//                     divided by N to keep total thread pressure constant)
 //   --fresh           discard previous results instead of resuming
 //   --limit <K>       run at most K pending points, then stop
 //   --cache <dir>     content-addressed result cache shared with xmtserved:
@@ -72,8 +69,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--out") outDir = next();
     else if (arg == "--workers") opts.workers = std::atoi(next().c_str());
-    else if (arg == "--pdes-shards")
-      opts.pdesShards = std::atoi(next().c_str());
     else if (arg == "--fresh") opts.fresh = true;
     else if (arg == "--cache") cacheDir = next();
     else if (arg == "--cache-max-mb")

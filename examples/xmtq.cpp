@@ -8,7 +8,6 @@
 //   submit [opts] spec.conf      submit a sweep; prints the job id
 //     --wait                     poll until done, print record lines
 //                                (sorted by point) to stdout
-//     --pdes-shards <N>          per-point PDES shards
 //     --set key=value            spec override (repeatable)
 //   status <job>                 one status line
 //   results <job>                print available record lines
@@ -64,13 +63,10 @@ int main(int argc, char** argv) {
 
     if (cmd == "submit") {
       bool wait = false;
-      int pdesShards = 1;
       std::vector<std::string> overrides;
       std::string specPath;
       for (std::size_t i = 1; i < args.size(); ++i) {
         if (args[i] == "--wait") wait = true;
-        else if (args[i] == "--pdes-shards" && i + 1 < args.size())
-          pdesShards = std::atoi(args[++i].c_str());
         else if (args[i] == "--set" && i + 1 < args.size())
           overrides.push_back(args[++i]);
         else if (!args[i].empty() && args[i][0] == '-') return usage();
@@ -79,7 +75,7 @@ int main(int argc, char** argv) {
       if (specPath.empty()) return usage();
       xmt::ConfigMap map = xmt::ConfigMap::fromFile(specPath);
       map.applyOverrides(overrides);
-      auto sub = client.submitSpec(map.toText(), pdesShards);
+      auto sub = client.submitSpec(map.toText());
       if (!sub.ok) {
         std::fprintf(stderr, "xmtq: %s\n", sub.error.c_str());
         return sub.busy ? 3 : 1;

@@ -19,7 +19,7 @@ std::uint64_t simulationsExecuted() {
   return g_simulations.load(std::memory_order_relaxed);
 }
 
-RunPayload simulatePoint(const CampaignPoint& point, int pdesShards) {
+RunPayload simulatePoint(const CampaignPoint& point) {
   g_simulations.fetch_add(1, std::memory_order_relaxed);
   RunPayload p;
   try {
@@ -28,8 +28,6 @@ RunPayload simulatePoint(const CampaignPoint& point, int pdesShards) {
     opts.mode = point.mode;
     Toolchain tc(opts);
     auto sim = tc.makeSimulator(workloads::instanceSource(point.workload));
-    if (pdesShards > 1 && point.mode == SimMode::kCycleAccurate)
-      sim->setPdesShards(pdesShards);
     workloads::instancePrepare(point.workload, *sim);
     RunResult result = sim->run();
     if (!result.halted)
@@ -87,8 +85,8 @@ PointRecord payloadToRecord(const CampaignPoint& point, const RunPayload& p) {
   return rec;
 }
 
-PointRecord runPoint(const CampaignPoint& point, int pdesShards) {
-  return payloadToRecord(point, simulatePoint(point, pdesShards));
+PointRecord runPoint(const CampaignPoint& point) {
+  return payloadToRecord(point, simulatePoint(point));
 }
 
 CampaignResult runCampaign(const CampaignSpec& spec,
@@ -120,12 +118,9 @@ CampaignResult runCampaign(const CampaignSpec& spec,
   std::mutex onPointMutex;
   {
     // Clamp here rather than trusting the pool's own default: workers == 0
-    // must never reach ThreadPool as a zero-thread pool, and with PDES each
-    // point itself runs `pdesShards` threads, so divide the pool down to
-    // keep total thread pressure near the hardware concurrency.
+    // must never reach ThreadPool as a zero-thread pool.
     int workers = opts.workers > 0 ? opts.workers
                                    : ThreadPool::hardwareWorkers();
-    if (opts.pdesShards > 1) workers /= opts.pdesShards;
     if (workers < 1) workers = 1;
     ThreadPool pool(workers);
     for (std::size_t i = 0; i < toRun; ++i) {
@@ -136,7 +131,7 @@ CampaignResult runCampaign(const CampaignSpec& spec,
         if (hit) {
           cacheHits.fetch_add(1, std::memory_order_relaxed);
         } else {
-          payload = simulatePoint(*p, opts.pdesShards);
+          payload = simulatePoint(*p);
           if (payload.ok && opts.cacheFill) opts.cacheFill(*p, payload);
         }
         PointRecord rec = payloadToRecord(*p, payload);

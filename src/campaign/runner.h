@@ -37,7 +37,7 @@ struct RunPayload {
 /// Compiles and simulates one point (no cache involved). Never throws —
 /// failures come back as ok=false payloads. Increments the process-wide
 /// simulation counter.
-RunPayload simulatePoint(const CampaignPoint& point, int pdesShards = 1);
+RunPayload simulatePoint(const CampaignPoint& point);
 
 /// Re-attaches a payload to its grid position: prefixes {"point","key",
 /// "dims"} and extracts the headline metrics. Pure — a cached payload and
@@ -54,12 +54,6 @@ struct CampaignOptions {
   std::string outDir;
   /// Worker threads; <= 0 selects the hardware concurrency.
   int workers = 0;
-  /// PDES shards per cycle-accurate point (1 = sequential engine). The
-  /// persisted records are bit-identical either way — this trades
-  /// point-level for intra-point parallelism, which pays off when the grid
-  /// has fewer big points than cores. Pool workers are divided by the
-  /// shard count to keep total thread pressure roughly constant.
-  int pdesShards = 1;
   /// Discard any previous results in outDir instead of resuming.
   bool fresh = false;
   /// When > 0, run at most this many pending points (in grid order) and
@@ -93,7 +87,7 @@ struct CampaignResult {
 
 /// Runs one resolved point: compile, prepare inputs, simulate, serialize.
 /// Never throws — failures come back as ok=false records.
-PointRecord runPoint(const CampaignPoint& point, int pdesShards = 1);
+PointRecord runPoint(const CampaignPoint& point);
 
 /// Expands the spec, skips points already in the store, runs the rest on
 /// the pool, then finalizes the store (sorted results.jsonl, results.csv,

@@ -53,8 +53,6 @@ bool isConfigKey(const std::string& key) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(const std::string& text) { return xmt::fnv1a64(text); }
-
 CampaignSpec CampaignSpec::fromText(const std::string& text) {
   return fromConfigMap(ConfigMap::fromText(text));
 }

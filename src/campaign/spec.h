@@ -99,7 +99,4 @@ class CampaignSpec {
   std::vector<std::pair<std::string, std::string>> baseline_;
 };
 
-/// FNV-1a 64-bit hash (exposed for tests and the result store).
-std::uint64_t fnv1a64(const std::string& text);
-
 }  // namespace xmt::campaign

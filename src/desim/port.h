@@ -63,10 +63,8 @@ class TimedQueue {
 ///
 /// Multi-producer sinks (the cache modules' inject queues, the PS unit's
 /// request inbox) use this so the service order is a function of simulated
-/// time and topology only — two engines that deliver the same entries with
-/// the same ready-times pop them identically even if the *push* interleaving
-/// differs (the sequential engine pushes in event order; the PDES engine
-/// pushes at barrier application in shard order). Per-source FIFO is
+/// time and topology only: the same entries with the same ready-times pop
+/// identically whatever order they were pushed in. Per-source FIFO is
 /// preserved: entries from one key keep their relative push order (seq is
 /// globally monotone, and any one source's pushes are totally ordered).
 template <typename T>

@@ -49,18 +49,6 @@ bool Scheduler::run() {
   return false;
 }
 
-bool Scheduler::runWindow(SimTime end) {
-  while (!events_.empty()) {
-    if (events_.headTime() >= end) return false;
-    EventQueue::Fired e = events_.pop();
-    now_ = e.time;
-    if (e.actor == nullptr) return true;  // stop event
-    ++processed_;
-    e.actor->notify(now_);
-  }
-  return false;
-}
-
 bool Scheduler::runUntil(SimTime limit) {
   while (!events_.empty()) {
     if (events_.headTime() > limit) return false;

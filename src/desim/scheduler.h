@@ -78,23 +78,11 @@ class Scheduler {
   /// Processes events with time <= `limit` (and not past a stop event).
   bool runUntil(SimTime limit);
 
-  /// Processes events with time strictly < `end` (and not past a stop
-  /// event). Returns true if a stop event fired inside the window. This is
-  /// the PDES window primitive: a shard runs all its local events up to the
-  /// barrier time, after which cross-shard messages are applied (see
-  /// src/desim/pdes.h). now() is left at the last fired event, not advanced
-  /// to `end`.
-  bool runWindow(SimTime end);
-
   /// Processes a single event. Returns false if the list is empty or the
   /// next event is a stop event (which is consumed).
   bool step();
 
   SimTime now() const { return now_; }
-
-  /// Earliest pending event time; -1 when the list is empty. Used by the
-  /// PDES driver to size conservative windows.
-  SimTime nextEventTime() { return events_.empty() ? -1 : events_.headTime(); }
 
   bool empty() const { return events_.empty(); }
   std::size_t pendingEvents() const { return events_.size(); }

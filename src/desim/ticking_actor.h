@@ -11,13 +11,12 @@
 // superseded event is cancelled (stamp-checked, O(1) in the bucketed queue).
 // The invariant is therefore: at most one live pending event per actor, and
 // the sequence of effective ticks is a pure function of the wake targets —
-// never of how many redundant schedule/supersede cycles produced them. The
-// PDES engine relies on this: a stale dormant tick would fire in one
-// sharding and not another, desynchronizing e.g. the cluster's round-robin
-// issue pointer. tick() implementations must still be work-conserving (safe
-// to call with nothing to do): a wake and the work it announced can land on
-// the same edge. The determinism contract (bit-identical Stats across
-// engine variants, see tests/test_golden_stats.cc) pins this behavior down.
+// never of how many redundant schedule/supersede cycles produced them: a
+// stale dormant tick would advance e.g. the cluster's round-robin issue
+// pointer. tick() implementations must still be work-conserving (safe to
+// call with nothing to do): a wake and the work it announced can land on
+// the same edge. The pinned Stats in tests/test_golden_stats.cc hold this
+// behavior down.
 #pragma once
 
 #include "src/desim/clockdomain.h"

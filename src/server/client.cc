@@ -34,12 +34,10 @@ Json ServerClient::ping() {
   return request(req);
 }
 
-SubmitResult ServerClient::submitSpec(const std::string& specText,
-                                      int pdesShards) {
+SubmitResult ServerClient::submitSpec(const std::string& specText) {
   Json req = Json::object();
   req.set("cmd", Json::str("submit"));
   req.set("spec", Json::str(specText));
-  if (pdesShards > 1) req.set("pdes_shards", Json::number(pdesShards));
   Json resp = request(req);
   SubmitResult r;
   r.ok = resp.at("ok").asBool();

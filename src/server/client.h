@@ -45,7 +45,7 @@ class ServerClient {
   Json request(const Json& req);
 
   Json ping();
-  SubmitResult submitSpec(const std::string& specText, int pdesShards = 1);
+  SubmitResult submitSpec(const std::string& specText);
   StatusResult status(std::uint64_t job);            // throws on unknown job
   ResultsPage results(std::uint64_t job);            // throws on unknown job
   bool cancel(std::uint64_t job);

@@ -121,9 +121,6 @@ void Server::handleLine(const std::string& line, std::uint64_t clientId,
         conn.sendLine(errorResponse("submit: missing 'spec'").dump());
         return;
       }
-      int shards = 1;
-      if (const Json* s = req.body.find("pdes_shards"))
-        shards = static_cast<int>(s->asInt());
       campaign::CampaignSpec cs =
           campaign::CampaignSpec::fromText(spec->asString());
       std::vector<campaign::CampaignPoint> points = cs.expand();
@@ -137,7 +134,7 @@ void Server::handleLine(const std::string& line, std::uint64_t clientId,
         return;
       }
       std::uint64_t id =
-          queue_.submit(clientId, cs.name(), std::move(points), shards);
+          queue_.submit(clientId, cs.name(), std::move(points));
       if (id == 0) {
         conn.sendLine(busyResponse("queue full, retry later").dump());
         return;
@@ -239,7 +236,7 @@ void Server::execTask(const JobTask& task) {
     if (cache_.lookup(key, &payload)) {
       viaCache = true;
     } else {
-      payload = campaign::simulatePoint(task.point, task.pdesShards);
+      payload = campaign::simulatePoint(task.point);
       if (payload.ok) cache_.insert(key, payload);
     }
     coalescer_.finish(key, payload);

@@ -8,8 +8,7 @@ JobQueue::JobQueue(std::size_t maxQueuedPoints)
     : maxQueuedPoints_(maxQueuedPoints) {}
 
 std::uint64_t JobQueue::submit(std::uint64_t client, std::string name,
-                               std::vector<campaign::CampaignPoint> points,
-                               int pdesShards) {
+                               std::vector<campaign::CampaignPoint> points) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopped_) return 0;
   if (queued_ + points.size() > maxQueuedPoints_) return 0;  // backpressure
@@ -17,7 +16,6 @@ std::uint64_t JobQueue::submit(std::uint64_t client, std::string name,
   job.id = nextJobId_++;
   job.client = client;
   job.name = std::move(name);
-  job.pdesShards = pdesShards;
   job.recs.resize(points.size());
   job.landed.assign(points.size(), 0);
   job.points = std::move(points);
@@ -51,7 +49,6 @@ bool JobQueue::pickLocked(JobTask* out) {
       out->job = id;
       out->slot = job.nextSlot;
       out->point = job.points[job.nextSlot];
-      out->pdesShards = job.pdesShards;
       ++job.nextSlot;
       --queued_;
       rr_ = (ci + 1) % clientOrder_.size();

@@ -36,7 +36,6 @@ struct JobTask {
   std::uint64_t job = 0;
   std::size_t slot = 0;
   campaign::CampaignPoint point;
-  int pdesShards = 1;
 };
 
 struct JobStatus {
@@ -56,8 +55,7 @@ class JobQueue {
   /// Enqueues a job. Returns the new job id, or 0 when the queue bound
   /// would be exceeded (backpressure — nothing was enqueued).
   std::uint64_t submit(std::uint64_t client, std::string name,
-                       std::vector<campaign::CampaignPoint> points,
-                       int pdesShards);
+                       std::vector<campaign::CampaignPoint> points);
 
   /// Blocks until a task is available (false once stop() has been called
   /// and nothing is left to dispatch). Fair across clients.
@@ -90,7 +88,6 @@ class JobQueue {
     std::uint64_t id = 0;
     std::uint64_t client = 0;
     std::string name;
-    int pdesShards = 1;
     std::vector<campaign::CampaignPoint> points;
     std::vector<campaign::PointRecord> recs;  // slot-indexed
     std::vector<char> landed;                 // slot-indexed

@@ -5,7 +5,7 @@
 // Requests ({"cmd": ..., ...}):
 //   ping                          -> {"ok":true,"server":"xmtserved",
 //                                     "version":<toolchain>}
-//   submit  {spec, pdes_shards?}  -> {"ok":true,"job":N,"points":P}
+//   submit  {spec}                -> {"ok":true,"job":N,"points":P}
 //                                  | {"ok":false,"busy":true,...}  (queue full)
 //   status  {job}                 -> {"ok":true,"state":...,"total","done",
 //                                     "failed","cache_hits"}

@@ -1,11 +1,9 @@
 #include "src/sim/cyclemodel.h"
 
-#include <atomic>
 #include <map>
 #include <set>
 
 #include "src/common/error.h"
-#include "src/desim/pdes.h"
 #include "src/desim/port.h"
 #include "src/desim/ticking_actor.h"
 #include "src/memsys/cache.h"
@@ -15,14 +13,6 @@
 
 namespace xmt {
 namespace detail {
-
-namespace {
-// Which shard's event loop the current thread is executing. 0 is the hub
-// (and the only value ever seen by the sequential engine, the coordinator
-// thread between windows, and global-event fires). Outbound sends and the
-// per-shard Stats accumulator key off it.
-thread_local int tlsShardId = 0;
-}  // namespace
 
 // Prefix-sum unit traffic (dedicated network, separate from the ICN).
 struct PsReq {
@@ -40,9 +30,9 @@ struct PsResp {
   std::uint8_t destReg = 0;
   std::uint32_t value = 0;
   bool isDispatch = false;
-  // Dispatch verdict, decided *at the PS unit* (id > $high at serve time).
-  // Shipping it with the response keeps clusters from reading the global
-  // register file, whose state is hub-local under PDES.
+  // Dispatch verdict, decided *at the PS unit* (id > $high at serve time)
+  // and shipped with the response, so clusters never read the global
+  // register file and the join is detected where the IDs are handed out.
   bool park = false;
 };
 
@@ -64,39 +54,12 @@ inline bool isMemWait(WaitKind k) {
          k == WaitKind::kRoFill || k == WaitKind::kFence;
 }
 
-// Cross-shard message buffers. A non-hub shard appends to its outbox during
-// its window; the coordinator applies everything between windows. Ready
-// times are computed by the *sender* (identically to the sequential path),
-// so application is pure delivery.
-struct PkgSend {
-  Package pkg;
-  SimTime ready = 0;
-  int module = 0;
-};
-struct PsSend {
-  PsReq req;
-  SimTime ready = 0;
-};
-struct RetSend {
-  Package pkg;
-  SimTime ready = 0;
-};
-struct PsRespSend {
-  PsResp resp;
-  SimTime ready = 0;
-};
-struct ShardOutbox {
-  std::vector<PkgSend> toCache;  // cluster -> shared cache modules
-  std::vector<PsSend> toPs;      // cluster -> PS unit
-};
-
 // ---------------------------------------------------------------------------
 // ReturnPort: the per-destination return tree of the synchronous
 // mesh-of-trees. Replaces the former central IcnActor: each destination
 // (cluster or master) owns its port and *replays* the ICN-edge rate metering
-// locally when it ticks, which keeps the return path shard-local under PDES.
-// The delivered sequence is a pure function of the (readyTime-ordered)
-// contents, so sequential and PDES runs agree bit-for-bit.
+// locally when it ticks. The delivered sequence is a pure function of the
+// (readyTime-ordered) contents, not of the order packages were pushed.
 // ---------------------------------------------------------------------------
 
 struct ModelCore;
@@ -113,42 +76,17 @@ struct ReturnPort {
 };
 
 // ---------------------------------------------------------------------------
-// ShardAdapter: glue between one shard's Scheduler and the PDES driver.
-// ---------------------------------------------------------------------------
-
-class ShardAdapter final : public PdesShard {
- public:
-  ShardAdapter(ModelCore& m, int idx) : m_(m), idx_(idx) {}
-  bool runWindow(SimTime end) override;
-  void applyInbound() override;
-  SimTime nextEventTime() override;
-
- private:
-  ModelCore& m_;
-  int idx_;
-};
-
-// ---------------------------------------------------------------------------
 // ModelCore: shared state + wiring between all component actors.
 // ---------------------------------------------------------------------------
 
 struct ModelCore {
-  ModelCore(FuncModel& funcModel, const XmtConfig& config, Stats& statsRef,
-            int pdesShards);
+  ModelCore(FuncModel& funcModel, const XmtConfig& config, Stats& statsRef);
 
   FuncModel& fm;
   XmtConfig cfg;
   Stats& stats;
 
-  // Shard 0 ("hub") owns the master, PS unit, caches, DRAM and samplers;
-  // clusters are dealt round-robin over shards 1..shards-1. Sequential mode
-  // is the degenerate single-shard case: one scheduler, no channels.
-  int shards = 1;
-  std::vector<std::unique_ptr<Scheduler>> scheds;
-  Scheduler& hub() { return *scheds[0]; }
-  int shardOfCluster(int c) const {
-    return shards == 1 ? 0 : 1 + c % (shards - 1);
-  }
+  Scheduler sched;
 
   ClockDomain masterClk;
   ClockDomain icnClk;
@@ -168,45 +106,24 @@ struct ModelCore {
   CommitObserver* observer = nullptr;
   TraceSink* trace = nullptr;
 
-  // Spawn hardware state (hub-written; clusters read spawnStart/spawnEnd
-  // only while a spawn is active, i.e. strictly between the barrier-ordered
-  // broadcast fire and the joiner — never concurrently with the writes).
+  // Spawn hardware state (clusters read spawnStart/spawnEnd only while a
+  // spawn is active).
   bool spawnActive = false;
   std::uint32_t spawnStart = 0;
   std::uint32_t spawnEnd = 0;
-  int parkedCount = 0;          // hub-only (maintained at the PS unit)
+  int parkedCount = 0;          // maintained at the PS unit
   SimTime parkLastTime = -1;    // latest park-consumption edge this spawn
-  SimTime pendingSpawnStartAt = -1;  // broadcast completion not yet fired
 
   bool halted = false;
   std::int32_t haltCode = 0;
-  // Outstanding packages + ps requests. Relaxed atomics: the ids and the
-  // count are bookkeeping read cluster-locally or at quiescence, never an
-  // ordering channel.
-  std::atomic<std::uint64_t> inFlight{0};
-  std::atomic<std::uint64_t> pkgSeq{0};
+  std::uint64_t inFlight = 0;  // outstanding packages + ps requests
+  std::uint64_t pkgSeq = 0;
   bool started = false;
   bool masterRestored = false;  // checkpoint resume: keep the restored ctx
 
   bool checkpointRequested = false;
   std::uint64_t checkpointMinCycles = 0;
   bool checkpointTaken = false;
-
-  // PDES plumbing. shardStats[k] accumulates shard k's counters during a
-  // run and is folded into `stats` (in shard order) when the run returns;
-  // sequential mode writes `stats` directly.
-  std::vector<Stats> shardStats;
-  std::vector<std::unique_ptr<ShardAdapter>> adapters;
-  PdesDriver* driver = nullptr;  // alive only inside a PDES run()
-  std::vector<ShardOutbox> outbox;             // by source shard; [0] unused
-  std::vector<std::vector<RetSend>> retChan;   // by destination cluster
-  std::vector<std::vector<PsRespSend>> psChan; // by destination cluster
-
-  Stats& st() {
-    return shardStats.empty()
-               ? stats
-               : shardStats[static_cast<std::size_t>(tlsShardId)];
-  }
 
   // Wiring helpers (defined after the actor classes).
   void commit(int cluster, int tcu, const Instruction& in, std::uint32_t pc,
@@ -221,10 +138,7 @@ struct ModelCore {
   void dramRequest(int module, std::uint64_t line, SimTime now);
   SimTime asyncIcnLatency(std::uint64_t pkgId, int meanCycles);
   void scheduleSpawnStart(SimTime when);
-  void registerSpawnGlobal();
   void noteParked(int cluster, SimTime respReady);
-  void applyInboundFor(int shard);
-  SimTime pdesLookahead() const;
   void doHalt(std::int32_t code);
   void syncCacheStats();
   bool quiescent() const;
@@ -302,7 +216,7 @@ class ClusterActor : public TickingActor {
     }
     rr_ = (rr_ + 1) % n;
     if (anyIssued)
-      ++m_.st().perCluster[static_cast<std::size_t>(id_)].activeCycles;
+      ++m_.stats.perCluster[static_cast<std::size_t>(id_)].activeCycles;
 
     // Next wanted time.
     SimTime next = -1;
@@ -389,7 +303,7 @@ class ClusterActor : public TickingActor {
   void resume(Tcu& t, SimTime now) {
     if (isMemWait(t.wait)) {
       SimTime waited = now - t.waitStart;
-      m_.st().memWaitCycles +=
+      m_.stats.memWaitCycles +=
           static_cast<std::uint64_t>(waited / clock().period());
     }
     t.wait = WaitKind::kNone;
@@ -405,7 +319,7 @@ class ClusterActor : public TickingActor {
     p.srcCluster = static_cast<std::int16_t>(id_);
     p.srcTcu = static_cast<std::int16_t>(tcuIdx);
     p.destReg = destReg;
-    p.id = 1 + m_.pkgSeq.fetch_add(1, std::memory_order_relaxed);
+    p.id = ++m_.pkgSeq;
     p.issueTime = now;
     return p;
   }
@@ -420,7 +334,7 @@ class ClusterActor : public TickingActor {
           "(pc=0x" + std::to_string(pc) +
           "); mislaid basic block? (cf. paper Fig. 9)");
     const Instruction& in = m_.fm.fetch(pc);
-    auto& act = m_.st().perCluster[static_cast<std::size_t>(id_)];
+    auto& act = m_.stats.perCluster[static_cast<std::size_t>(id_)];
 
     switch (FuncModel::classify(in)) {
       case FuncModel::StepClass::kSimple: {
@@ -472,7 +386,7 @@ class ClusterActor : public TickingActor {
         Package p = makePkg(PkgKind::kPsm, addr, t.ctx.reg(in.rt), tcuIdx,
                             in.rt, now);
         m_.sendPackage(p, now);
-        ++m_.st().psmRequests;
+        ++m_.stats.psmRequests;
         t.ctx.pc += 4;
         t.phase = Phase::kBlocked;
         t.wait = WaitKind::kPsm;
@@ -513,7 +427,7 @@ class ClusterActor : public TickingActor {
 
   bool issueMemory(Tcu& t, int tcuIdx, const Instruction& in,
                    std::uint32_t pc, SimTime now, int& memSlots) {
-    auto& act = m_.st().perCluster[static_cast<std::size_t>(id_)];
+    auto& act = m_.stats.perCluster[static_cast<std::size_t>(id_)];
     std::uint32_t addr = m_.fm.effectiveAddr(t.ctx, in);
     switch (in.op) {
       case Op::kFence:
@@ -567,7 +481,7 @@ class ClusterActor : public TickingActor {
             t.ctx.setReg(in.rt, e->value);
             e->valid = false;  // consume on use
             e->addr = 0;
-            ++m_.st().prefetchBufferHits;
+            ++m_.stats.prefetchBufferHits;
             t.ctx.pc += 4;
             m_.commit(id_, tcuIdx, in, pc, addr, now);
             return true;
@@ -649,7 +563,7 @@ class ClusterActor : public TickingActor {
                             tcuIdx, 0, now);
         ++t.outstandingStores;
         t.storeAddrs.insert(addr & ~3u);
-        ++m_.st().nonBlockingStores;
+        ++m_.stats.nonBlockingStores;
         m_.sendPackage(p, now);
         t.ctx.pc += 4;
         ++act.memOps;
@@ -688,7 +602,7 @@ class ClusterActor : public TickingActor {
           if (t.joinPending) {
             t.joinPending = false;
             SimTime waited = now - t.waitStart;
-            m_.st().memWaitCycles +=
+            m_.stats.memWaitCycles +=
                 static_cast<std::uint64_t>(waited / clock().period());
             requestDispatch(t, static_cast<int>(pkg.srcTcu), now);
           } else {
@@ -722,7 +636,7 @@ class ClusterActor : public TickingActor {
               e.valid = false;
               e.addr = 0;
             }
-          ++m_.st().prefetchBufferHits;
+          ++m_.stats.prefetchBufferHits;
           resume(t, now);
         }
         break;
@@ -736,14 +650,14 @@ class ClusterActor : public TickingActor {
         }
         break;
     }
-    std::uint64_t prev = m_.inFlight.fetch_sub(1, std::memory_order_relaxed);
-    XMT_CHECK(prev > 0);
+    XMT_CHECK(m_.inFlight > 0);
+    --m_.inFlight;
   }
 
   void handlePsResp(const PsResp& r, SimTime now) {
     Tcu& t = tcus_[static_cast<std::size_t>(r.tcu)];
-    std::uint64_t prev = m_.inFlight.fetch_sub(1, std::memory_order_relaxed);
-    XMT_CHECK(prev > 0);
+    XMT_CHECK(m_.inFlight > 0);
+    --m_.inFlight;
     if (r.isDispatch) {
       XMT_CHECK(t.phase == Phase::kBlocked &&
                 t.wait == WaitKind::kDispatch);
@@ -752,9 +666,9 @@ class ClusterActor : public TickingActor {
         t.ctx.pc = m_.spawnStart;
         t.phase = Phase::kRunning;
         t.wait = WaitKind::kNone;
-        ++m_.st().virtualThreads;
+        ++m_.stats.virtualThreads;
       } else {
-        // The all-parked join condition is detected hub-side at the PS unit
+        // The all-parked join condition is detected at the PS unit
         // (noteParked); the cluster only retires the TCU.
         t.phase = Phase::kParked;
         t.wait = WaitKind::kNone;
@@ -866,7 +780,7 @@ class MasterActor : public TickingActor {
     p.srcCluster = kMasterCluster;
     p.srcTcu = 0;
     p.destReg = destReg;
-    p.id = 1 + m_.pkgSeq.fetch_add(1, std::memory_order_relaxed);
+    p.id = ++m_.pkgSeq;
     p.issueTime = now;
     return p;
   }
@@ -879,7 +793,7 @@ class MasterActor : public TickingActor {
 
   void resume(SimTime now) {
     if (isMemWait(wait_))
-      m_.st().memWaitCycles +=
+      m_.stats.memWaitCycles +=
           static_cast<std::uint64_t>((now - waitStart_) / clock().period());
     wait_ = WaitKind::kNone;
     phase_ = Phase::kRunning;
@@ -906,7 +820,7 @@ class MasterActor : public TickingActor {
         // The master sits next to the global register file / PS unit.
         std::uint32_t old = m_.fm.psFetchAdd(in.rt, ctx.reg(in.rd));
         ctx.setReg(in.rd, old);
-        ++m_.st().psRequests;
+        ++m_.stats.psRequests;
         ctx.pc += 4;
         phase_ = Phase::kWaitUntil;
         readyAt_ = now + 2 * clock().period();
@@ -920,14 +834,14 @@ class MasterActor : public TickingActor {
         std::uint32_t addr = m_.fm.effectiveAddr(ctx, in);
         Package p = makePkg(PkgKind::kPsm, addr, ctx.reg(in.rt), in.rt, now);
         m_.sendPackage(p, now);
-        ++m_.st().psmRequests;
+        ++m_.stats.psmRequests;
         ctx.pc += 4;
         block(WaitKind::kPsm, now);
         m_.commit(kMasterCluster, 0, in, pc, addr, now);
         return;
       }
       case FuncModel::StepClass::kSpawn: {
-        ++m_.st().spawns;
+        ++m_.stats.spawns;
         m_.spawnActive = true;
         m_.spawnStart = static_cast<std::uint32_t>(in.imm);
         m_.spawnEnd = static_cast<std::uint32_t>(in.imm2);
@@ -1013,7 +927,7 @@ class MasterActor : public TickingActor {
             makePkg(PkgKind::kStoreNbWord, addr, ctx.reg(in.rt), 0, now);
         ++outstandingStores_;
         storeAddrs_.insert(addr & ~3u);
-        ++m_.st().nonBlockingStores;
+        ++m_.stats.nonBlockingStores;
         m_.sendPackage(p, now);
         ctx.pc += 4;
         m_.commit(kMasterCluster, 0, in, pc, addr, now);
@@ -1064,8 +978,8 @@ class MasterActor : public TickingActor {
       default:
         throw InternalError("unexpected response kind at master");
     }
-    std::uint64_t prev = m_.inFlight.fetch_sub(1, std::memory_order_relaxed);
-    XMT_CHECK(prev > 0);
+    XMT_CHECK(m_.inFlight > 0);
+    --m_.inFlight;
   }
 
   ModelCore& m_;
@@ -1083,10 +997,10 @@ class MasterActor : public TickingActor {
 // PsUnitActor: the global prefix-sum unit. All requests to the same global
 // register that are pending in the same cycle are combined and served
 // together — the hardware property that makes thread dispatch O(1). The
-// request inbox arbitrates in canonical (readyTime, cluster) order so the
-// service sequence — and with it the thread-ID assignment — is identical
-// whichever engine delivered the requests. Dispatch requests that overrun
-// $high are detected *here* (hub-side) and feed the join logic (noteParked).
+// request inbox arbitrates in canonical (readyTime, cluster) order, so the
+// service sequence — and with it the thread-ID assignment — depends only on
+// simulated time and topology. Dispatch requests that overrun $high are
+// detected *here* and feed the join logic (noteParked).
 // ---------------------------------------------------------------------------
 
 class PsUnitActor : public TickingActor {
@@ -1101,7 +1015,7 @@ class PsUnitActor : public TickingActor {
     while (inbox.ready(now)) {
       PsReq req = inbox.pop(now);
       std::uint32_t old = m_.fm.psFetchAdd(req.gr, req.inc);
-      if (!req.isDispatch) ++m_.st().psRequests;
+      if (!req.isDispatch) ++m_.stats.psRequests;
       PsResp resp;
       resp.cluster = req.cluster;
       resp.tcu = req.tcu;
@@ -1284,7 +1198,7 @@ class DramActor : public TickingActor {
     std::size_t ch =
         static_cast<std::size_t>(module % m_.cfg.dramChannels);
     chq_[ch].push(now, Req{module, line});
-    ++m_.st().dramRequests;
+    ++m_.stats.dramRequests;
     wakeAt(now);
   }
 
@@ -1323,8 +1237,7 @@ class DramActor : public TickingActor {
 
 // ---------------------------------------------------------------------------
 // SpawnStarter: fires when the instruction broadcast completes; flips every
-// TCU into dispatch mode. Sequential: a hub-scheduled event. PDES: a global
-// (all-shards-parked) event, because it touches every cluster at once.
+// TCU into dispatch mode.
 // ---------------------------------------------------------------------------
 
 class SpawnStarter : public Actor {
@@ -1342,7 +1255,7 @@ class SpawnStarter : public Actor {
 };
 
 // ---------------------------------------------------------------------------
-// SpawnJoiner: fires (on the hub) at the edge the last TCU parks; completes
+// SpawnJoiner: fires at the edge the last TCU parks; completes
 // the join by waking the master out of kWaitSpawn. Scheduled by noteParked.
 // ---------------------------------------------------------------------------
 
@@ -1366,7 +1279,7 @@ class SamplerActor : public TickingActor {
  public:
   SamplerActor(ModelCore& m, RuntimeControl& rc, ActivityPlugin* plugin,
                std::uint64_t periodCycles, ClockDomain& clk)
-      : TickingActor("sampler", m.hub(), clk),
+      : TickingActor("sampler", m.sched, clk),
         m_(m),
         rc_(rc),
         plugin_(plugin),
@@ -1413,28 +1326,11 @@ SimTime ReturnPort::drain(SimTime now, ModelCore& m,
 }
 
 // ---------------------------------------------------------------------------
-// ShardAdapter implementation.
-// ---------------------------------------------------------------------------
-
-bool ShardAdapter::runWindow(SimTime end) {
-  tlsShardId = idx_;
-  bool stopped = m_.scheds[static_cast<std::size_t>(idx_)]->runWindow(end);
-  tlsShardId = 0;
-  return stopped;
-}
-
-void ShardAdapter::applyInbound() { m_.applyInboundFor(idx_); }
-
-SimTime ShardAdapter::nextEventTime() {
-  return m_.scheds[static_cast<std::size_t>(idx_)]->nextEventTime();
-}
-
-// ---------------------------------------------------------------------------
 // ModelCore implementation.
 // ---------------------------------------------------------------------------
 
 ModelCore::ModelCore(FuncModel& funcModel, const XmtConfig& config,
-                     Stats& statsRef, int pdesShards)
+                     Stats& statsRef)
     : fm(funcModel),
       cfg(config),
       stats(statsRef),
@@ -1446,50 +1342,28 @@ ModelCore::ModelCore(FuncModel& funcModel, const XmtConfig& config,
   stats.perCluster.assign(static_cast<std::size_t>(cfg.clusters),
                           ClusterActivity{});
 
-  shards = pdesShards < 1 ? 1 : pdesShards;
-  if (cfg.icnAsync) shards = 1;  // continuous-time delivery: no lookahead
-  if (shards > 1 + cfg.clusters) shards = 1 + cfg.clusters;
-  for (int k = 0; k < shards; ++k)
-    scheds.push_back(std::make_unique<Scheduler>());
-  if (shards > 1) {
-    shardStats.resize(static_cast<std::size_t>(shards));
-    for (Stats& s : shardStats)
-      s.perCluster.assign(static_cast<std::size_t>(cfg.clusters),
-                          ClusterActivity{});
-    outbox.resize(static_cast<std::size_t>(shards));
-    retChan.resize(static_cast<std::size_t>(cfg.clusters));
-    psChan.resize(static_cast<std::size_t>(cfg.clusters));
-    for (int k = 0; k < shards; ++k)
-      adapters.push_back(std::make_unique<ShardAdapter>(*this, k));
-  }
-
   for (int i = 0; i < cfg.clusters; ++i)
     clusterClk.push_back(std::make_unique<ClockDomain>(
         "cluster" + std::to_string(i), cfg.coreGhz));
-  caches = std::make_unique<CacheActor>(*this, hub(), cacheClk);
-  dram = std::make_unique<DramActor>(*this, hub(), dramClk);
-  psUnit = std::make_unique<PsUnitActor>(*this, hub(), masterClk);
-  master = std::make_unique<MasterActor>(*this, hub(), masterClk);
+  caches = std::make_unique<CacheActor>(*this, sched, cacheClk);
+  dram = std::make_unique<DramActor>(*this, sched, dramClk);
+  psUnit = std::make_unique<PsUnitActor>(*this, sched, masterClk);
+  master = std::make_unique<MasterActor>(*this, sched, masterClk);
   for (int i = 0; i < cfg.clusters; ++i)
     clusters.push_back(std::make_unique<ClusterActor>(
-        *this, i, *scheds[static_cast<std::size_t>(shardOfCluster(i))],
-        *clusterClk[static_cast<std::size_t>(i)]));
+        *this, i, sched, *clusterClk[static_cast<std::size_t>(i)]));
   spawnStarter = std::make_unique<SpawnStarter>(*this);
   spawnJoiner = std::make_unique<SpawnJoiner>(*this);
 }
 
 void ModelCore::commit(int cluster, int tcu, const Instruction& in,
                        std::uint32_t pc, std::uint32_t addr, SimTime now) {
-  Stats& s = st();
-  s.countInstruction(in);
+  stats.countInstruction(in);
   if (cluster >= 0) {
-    auto& a = s.perCluster[static_cast<std::size_t>(cluster)];
+    auto& a = stats.perCluster[static_cast<std::size_t>(cluster)];
     ++a.instructions;
   }
-  // Runaway guard. Under PDES the check is against the shard's own count,
-  // so the effective ceiling is up to `shards` times looser — it exists to
-  // stop infinite loops, not to meter precisely.
-  if (s.instructions > cfg.maxInstructions)
+  if (stats.instructions > cfg.maxInstructions)  // runaway guard
     throw SimError("instruction limit exceeded (" +
                    std::to_string(cfg.maxInstructions) + ")");
   if (observer) observer->onCommit(cluster, tcu, in, pc, addr);
@@ -1533,8 +1407,8 @@ SimTime ModelCore::asyncIcnLatency(std::uint64_t pkgId, int meanCycles) {
 }
 
 void ModelCore::sendPackage(Package pkg, SimTime now) {
-  ++st().icnPackets;
-  inFlight.fetch_add(1, std::memory_order_relaxed);
+  ++stats.icnPackets;
+  ++inFlight;
   int module = hashLineToModule(
       pkg.addr / static_cast<std::uint32_t>(cfg.cacheLineBytes),
       cfg.cacheModules, cfg.addressHashing);
@@ -1542,12 +1416,7 @@ void ModelCore::sendPackage(Package pkg, SimTime now) {
       cfg.icnAsync
           ? now + asyncIcnLatency(pkg.id, cfg.effectiveIcnSendLatency())
           : now + cfg.effectiveIcnSendLatency() * icnClk.period();
-  if (tlsShardId == 0) {
-    caches->inject(pkg, ready, module);
-  } else {
-    outbox[static_cast<std::size_t>(tlsShardId)].toCache.push_back(
-        PkgSend{pkg, ready, module});
-  }
+  caches->inject(pkg, ready, module);
 }
 
 void ModelCore::sendResponse(const Package& pkg, SimTime readyAt) {
@@ -1562,8 +1431,7 @@ void ModelCore::sendResponse(const Package& pkg, SimTime readyAt) {
   routeReturn(pkg, readyAt + cfg.effectiveIcnReturnLatency() * icnClk.period());
 }
 
-// Direct (continuous-time) delivery — asynchronous-ICN configurations only,
-// which are pinned to the sequential engine.
+// Direct (continuous-time) delivery — asynchronous-ICN configurations only.
 void ModelCore::deliverResponse(const Package& pkg, SimTime now) {
   if (pkg.srcCluster == kMasterCluster) {
     master->pkgInbox.push(now, pkg);
@@ -1583,36 +1451,24 @@ void ModelCore::routeReturn(const Package& pkg, SimTime ready) {
   if (pkg.srcCluster == kMasterCluster) {
     master->retPort.q.push(ready, pkg);
     master->wakeAt(icnClk.nextEdge(ready - 1));
-  } else if (shards == 1) {
+  } else {
     auto& c = *clusters[static_cast<std::size_t>(pkg.srcCluster)];
     c.retPort.q.push(ready, pkg);
     c.wakeAt(icnClk.nextEdge(ready - 1));
-  } else {
-    retChan[static_cast<std::size_t>(pkg.srcCluster)].push_back(
-        RetSend{pkg, ready});
   }
 }
 
 void ModelCore::sendPsRequest(const PsReq& req, SimTime now) {
-  inFlight.fetch_add(1, std::memory_order_relaxed);
+  ++inFlight;
   SimTime ready = now + cfg.psLatency * masterClk.period();
-  if (tlsShardId == 0) {
-    psUnit->inbox.push(ready, req.cluster, req);
-    psUnit->wakeAt(ready);
-  } else {
-    outbox[static_cast<std::size_t>(tlsShardId)].toPs.push_back(
-        PsSend{req, ready});
-  }
+  psUnit->inbox.push(ready, req.cluster, req);
+  psUnit->wakeAt(ready);
 }
 
 void ModelCore::deliverPsResponse(const PsResp& resp, SimTime readyAt) {
-  auto c = static_cast<std::size_t>(resp.cluster);
-  if (shards == 1) {
-    clusters[c]->psInbox.push(readyAt, resp);
-    clusters[c]->wakeAt(readyAt);
-  } else {
-    psChan[c].push_back(PsRespSend{resp, readyAt});
-  }
+  auto& c = *clusters[static_cast<std::size_t>(resp.cluster)];
+  c.psInbox.push(readyAt, resp);
+  c.wakeAt(readyAt);
 }
 
 void ModelCore::dramRequest(int module, std::uint64_t line, SimTime now) {
@@ -1620,26 +1476,7 @@ void ModelCore::dramRequest(int module, std::uint64_t line, SimTime now) {
 }
 
 void ModelCore::scheduleSpawnStart(SimTime when) {
-  if (shards > 1) {
-    // The broadcast completion touches every cluster at once, so under PDES
-    // it is a driver-global event (windows never cross it; it fires with
-    // all shards parked). At most one can be outstanding — the master is in
-    // kWaitSpawn until the matching join.
-    XMT_CHECK(pendingSpawnStartAt < 0);
-    pendingSpawnStartAt = when;
-    if (driver != nullptr) registerSpawnGlobal();
-    // else: between runs; CycleModel::run re-registers into the new driver.
-  } else {
-    hub().schedule(spawnStarter.get(), when, kPhaseNegotiate);
-  }
-}
-
-void ModelCore::registerSpawnGlobal() {
-  driver->scheduleGlobal(pendingSpawnStartAt, [this](SimTime t) {
-    tlsShardId = 0;  // fires on the coordinator
-    pendingSpawnStartAt = -1;
-    spawnStarter->notify(t);
-  });
+  sched.schedule(spawnStarter.get(), when, kPhaseNegotiate);
 }
 
 // Called at the PS unit when a dispatch request overruns $high. The TCU
@@ -1653,71 +1490,13 @@ void ModelCore::noteParked(int cluster, SimTime respReady) {
   if (at > parkLastTime) parkLastTime = at;
   ++parkedCount;
   if (parkedCount == cfg.totalTcus())
-    hub().schedule(spawnJoiner.get(), parkLastTime, kPhaseTransfer);
-}
-
-// Coordinator-only (single-threaded, all shards parked): drain the channels
-// addressed to `shard`. Application order across source shards is fixed
-// (shard 1, 2, ...), and the hub's multi-source sinks arbitrate in
-// canonical (readyTime, srcCluster) order anyway, so delivery is
-// order-insensitive; per-cluster channels are FIFO by construction.
-void ModelCore::applyInboundFor(int shard) {
-  tlsShardId = 0;
-  if (shard == 0) {
-    for (int s = 1; s < shards; ++s) {
-      ShardOutbox& ob = outbox[static_cast<std::size_t>(s)];
-      for (PkgSend& m : ob.toCache) caches->inject(m.pkg, m.ready, m.module);
-      ob.toCache.clear();
-      for (PsSend& m : ob.toPs) {
-        psUnit->inbox.push(m.ready, m.req.cluster, m.req);
-        psUnit->wakeAt(m.ready);
-      }
-      ob.toPs.clear();
-    }
-    return;
-  }
-  for (int c = 0; c < cfg.clusters; ++c) {
-    if (shardOfCluster(c) != shard) continue;
-    ClusterActor& cl = *clusters[static_cast<std::size_t>(c)];
-    for (RetSend& m : retChan[static_cast<std::size_t>(c)]) {
-      cl.retPort.q.push(m.ready, m.pkg);
-      cl.wakeAt(icnClk.nextEdge(m.ready - 1));
-    }
-    retChan[static_cast<std::size_t>(c)].clear();
-    for (PsRespSend& m : psChan[static_cast<std::size_t>(c)]) {
-      cl.psInbox.push(m.ready, m.resp);
-      cl.wakeAt(m.ready);
-    }
-    psChan[static_cast<std::size_t>(c)].clear();
-  }
-}
-
-// The PDES lookahead: the smallest latency any cross-shard interaction can
-// have, in picoseconds. Every cross-shard edge goes through the hub —
-// cluster->PS unit (psLatency), PS unit->cluster (psReturnLatency),
-// cluster->cache (ICN send), cache->cluster (cache hit + ICN return) — and
-// the spawn broadcast (a driver-global event) takes at least
-// spawnBroadcastBase + 1 master cycles, so clamping to spawnBroadcastBase
-// guarantees a mid-window spawn-start registration always lands at or
-// beyond the current window's end.
-SimTime ModelCore::pdesLookahead() const {
-  SimTime l = cfg.psLatency * masterClk.period();
-  SimTime x = cfg.psReturnLatency * masterClk.period();
-  if (x < l) l = x;
-  x = cfg.effectiveIcnSendLatency() * icnClk.period();
-  if (x < l) l = x;
-  x = cfg.cacheHitLatency * cacheClk.period() +
-      cfg.effectiveIcnReturnLatency() * icnClk.period();
-  if (x < l) l = x;
-  x = cfg.spawnBroadcastBase * masterClk.period();
-  if (x < l) l = x;
-  return l;
+    sched.schedule(spawnJoiner.get(), parkLastTime, kPhaseTransfer);
 }
 
 void ModelCore::doHalt(std::int32_t code) {
   halted = true;
   haltCode = code;
-  hub().requestStop();
+  sched.requestStop();
 }
 
 void ModelCore::syncCacheStats() {
@@ -1732,13 +1511,12 @@ void ModelCore::syncCacheStats() {
   }
   stats.roCacheHits = roH;
   stats.roCacheMisses = roM;
-  stats.cycles = static_cast<std::uint64_t>(masterClk.cyclesAt(hub().now()));
-  stats.simTime = hub().now();
+  stats.cycles = static_cast<std::uint64_t>(masterClk.cyclesAt(sched.now()));
+  stats.simTime = sched.now();
 }
 
 bool ModelCore::quiescent() const {
-  return !spawnActive && !halted &&
-         inFlight.load(std::memory_order_relaxed) == 0 &&
+  return !spawnActive && !halted && inFlight == 0 &&
          master->runnable() && master->outstandingStores() == 0;
 }
 
@@ -1749,13 +1527,10 @@ bool ModelCore::quiescent() const {
 // ---------------------------------------------------------------------------
 
 CycleModel::CycleModel(FuncModel& funcModel, const XmtConfig& config,
-                       Stats& stats, int pdesShards)
-    : core_(std::make_unique<detail::ModelCore>(funcModel, config, stats,
-                                                pdesShards)) {}
+                       Stats& stats)
+    : core_(std::make_unique<detail::ModelCore>(funcModel, config, stats)) {}
 
 CycleModel::~CycleModel() = default;
-
-int CycleModel::pdesShards() const { return core_->shards; }
 
 void CycleModel::setCommitObserver(CommitObserver* observer) {
   core_->observer = observer;
@@ -1769,7 +1544,7 @@ void CycleModel::addActivityPlugin(ActivityPlugin* plugin,
   core_->samplers.push_back(std::make_unique<detail::SamplerActor>(
       *core_, *this, plugin, periodCycles, core_->masterClk));
   if (core_->started)
-    core_->samplers.back()->wakeAt(core_->hub().now() + 1);
+    core_->samplers.back()->wakeAt(core_->sched.now() + 1);
 }
 
 CycleRunResult CycleModel::run(std::uint64_t maxCycles) {
@@ -1782,42 +1557,13 @@ CycleRunResult CycleModel::run(std::uint64_t maxCycles) {
   // A previous run()'s cycle-budget stop may still sit in the event list if
   // that run ended early on a halt or checkpoint stop; withdraw it so it
   // cannot cut this run short.
-  m.hub().cancelStops();
-  SimTime stopAt = -1;
+  m.sched.cancelStops();
   if (maxCycles > 0) {
-    std::int64_t target = m.masterClk.cyclesAt(m.hub().now()) +
+    std::int64_t target = m.masterClk.cyclesAt(m.sched.now()) +
                           static_cast<std::int64_t>(maxCycles);
-    stopAt = m.masterClk.timeOfCycle(target);
-    m.hub().scheduleStop(stopAt);
+    m.sched.scheduleStop(m.masterClk.timeOfCycle(target));
   }
-  bool stopped;
-  if (m.shards > 1) {
-    std::vector<PdesShard*> shardPtrs;
-    shardPtrs.reserve(m.adapters.size());
-    for (auto& a : m.adapters) shardPtrs.push_back(a.get());
-    PdesDriver driver(std::move(shardPtrs), m.pdesLookahead());
-    m.driver = &driver;
-    // A spawn broadcast pending from a previous (budget-stopped) run must
-    // be re-registered into this run's driver.
-    if (m.pendingSpawnStartAt >= 0) m.registerSpawnGlobal();
-    if (stopAt >= 0) driver.alignStop(stopAt);
-    // A trace sink needs one stable event interleaving: run the shards'
-    // windows serially on this thread (same windows, same results).
-    PdesDriver::RunEnd end = driver.run(m.trace == nullptr);
-    m.driver = nullptr;
-    stopped = end == PdesDriver::RunEnd::kStopped;
-    // Deterministic merge: fold the per-shard counters into the session
-    // Stats in fixed shard order, then zero the accumulators so a resumed
-    // run cannot double-count.
-    for (Stats& s : m.shardStats) {
-      m.stats.mergeCounters(s);
-      s = Stats{};
-      s.perCluster.assign(static_cast<std::size_t>(m.cfg.clusters),
-                          ClusterActivity{});
-    }
-  } else {
-    stopped = m.hub().run();
-  }
+  bool stopped = m.sched.run();
   if (!stopped && !m.halted)
     throw SimError("simulation deadlock: event list drained before halt");
   m.syncCacheStats();
@@ -1825,7 +1571,7 @@ CycleRunResult CycleModel::run(std::uint64_t maxCycles) {
   r.halted = m.halted;
   r.haltCode = m.haltCode;
   r.cycles = m.stats.cycles;
-  r.simTime = m.hub().now();
+  r.simTime = m.sched.now();
   return r;
 }
 
@@ -1853,19 +1599,19 @@ bool CycleModel::checkpointStopTaken() const {
 
 const Stats& CycleModel::stats() const { return core_->stats; }
 const XmtConfig& CycleModel::config() const { return core_->cfg; }
-SimTime CycleModel::now() const { return core_->hub().now(); }
+SimTime CycleModel::now() const { return core_->sched.now(); }
 
 std::uint64_t CycleModel::coreCycles() const {
   return static_cast<std::uint64_t>(
-      core_->masterClk.cyclesAt(core_->hub().now()));
+      core_->masterClk.cyclesAt(core_->sched.now()));
 }
 
 void CycleModel::setClusterFrequency(int cluster, double ghz) {
   XMT_CHECK(cluster >= 0 && cluster < core_->cfg.clusters);
   core_->clusterClk[static_cast<std::size_t>(cluster)]->setFrequency(
-      ghz, core_->hub().now());
+      ghz, core_->sched.now());
   core_->clusters[static_cast<std::size_t>(cluster)]->wakeAt(
-      core_->hub().now() + 1);
+      core_->sched.now() + 1);
 }
 
 double CycleModel::clusterFrequency(int cluster) const {
@@ -1877,31 +1623,31 @@ double CycleModel::clusterFrequency(int cluster) const {
 void CycleModel::setClusterEnabled(int cluster, bool enabled) {
   XMT_CHECK(cluster >= 0 && cluster < core_->cfg.clusters);
   core_->clusterClk[static_cast<std::size_t>(cluster)]->setEnabled(
-      enabled, core_->hub().now());
+      enabled, core_->sched.now());
   core_->clusters[static_cast<std::size_t>(cluster)]->wakeAt(
-      core_->hub().now() + 1);
+      core_->sched.now() + 1);
 }
 
 void CycleModel::setIcnFrequency(double ghz) {
-  core_->icnClk.setFrequency(ghz, core_->hub().now());
+  core_->icnClk.setFrequency(ghz, core_->sched.now());
   // Return metering lives in the destinations' ports now: re-arm them so
   // pending deliveries re-anchor to the new edge grid.
-  core_->master->wakeAt(core_->hub().now() + 1);
-  for (auto& c : core_->clusters) c->wakeAt(core_->hub().now() + 1);
+  core_->master->wakeAt(core_->sched.now() + 1);
+  for (auto& c : core_->clusters) c->wakeAt(core_->sched.now() + 1);
 }
 
 void CycleModel::setCacheFrequency(double ghz) {
-  core_->cacheClk.setFrequency(ghz, core_->hub().now());
-  core_->caches->wakeAt(core_->hub().now() + 1);
+  core_->cacheClk.setFrequency(ghz, core_->sched.now());
+  core_->caches->wakeAt(core_->sched.now() + 1);
 }
 
 void CycleModel::setDramFrequency(double ghz) {
-  core_->dramClk.setFrequency(ghz, core_->hub().now());
-  core_->dram->wakeAt(core_->hub().now() + 1);
+  core_->dramClk.setFrequency(ghz, core_->sched.now());
+  core_->dram->wakeAt(core_->sched.now() + 1);
 }
 
-void CycleModel::requestStop() { core_->hub().requestStop(); }
+void CycleModel::requestStop() { core_->sched.requestStop(); }
 
-Scheduler& CycleModel::scheduler() { return core_->hub(); }
+Scheduler& CycleModel::scheduler() { return core_->sched; }
 
 }  // namespace xmt

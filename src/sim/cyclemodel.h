@@ -26,15 +26,10 @@
 //   - DramActor (DRAM clock) — per-channel latency/bandwidth model,
 //   - SamplerActor(s) — periodic activity plug-in callbacks.
 //
-// Parallel mode (PDES): constructed with pdesShards > 1, the actor graph is
-// partitioned into shards — shard 0 (the "hub") owns the master, PS unit,
-// caches and DRAM; clusters are dealt round-robin over the remaining
-// shards — each with a private Scheduler, synchronized by the conservative
-// window protocol in src/desim/pdes.h with the minimum cross-shard link
-// latency as lookahead. Stats are accumulated per shard and merged
-// deterministically, and every multi-source sink arbitrates in a canonical
-// (readyTime, source) order, so a PDES run reproduces the sequential run's
-// Stats bit-identically (see DESIGN.md §10 and tests/test_golden_stats.cc).
+// Every actor runs on one Scheduler. Multi-source sinks (the cache modules
+// and the PS unit) arbitrate in canonical (readyTime, source) order, so the
+// pinned Stats (tests/test_golden_stats.cc) depend on simulated time and
+// topology only.
 #pragma once
 
 #include <cstdint>
@@ -72,16 +67,8 @@ struct ModelCore;
 
 class CycleModel final : public RuntimeControl {
  public:
-  /// `pdesShards` > 1 opts into the parallel (PDES) engine with that many
-  /// event-loop shards (clamped to 1 + clusters; forced to 1 when the
-  /// configuration is asynchronous-ICN, whose continuous-time delivery
-  /// defeats conservative lookahead).
-  CycleModel(FuncModel& funcModel, const XmtConfig& config, Stats& stats,
-             int pdesShards = 1);
+  CycleModel(FuncModel& funcModel, const XmtConfig& config, Stats& stats);
   ~CycleModel() override;
-
-  /// Effective shard count after clamping (1 == sequential engine).
-  int pdesShards() const;
 
   void setCommitObserver(CommitObserver* observer);
   void setTraceSink(TraceSink* sink);
@@ -124,7 +111,6 @@ class CycleModel final : public RuntimeControl {
   void setDramFrequency(double ghz) override;
   void requestStop() override;
 
-  /// The hub shard's scheduler (the only scheduler when sequential).
   Scheduler& scheduler();
 
  private:

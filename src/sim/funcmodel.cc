@@ -118,10 +118,6 @@ Context FuncModel::makeThreadContext(const Context& master,
 }
 
 void FuncModel::doSyscall(Context& ctx, std::int32_t code) {
-  // Under PDES, TCUs on different shards can print concurrently; the append
-  // must not tear. (Print *order* from inside one spawn region follows shard
-  // interleaving — see DESIGN.md §10; serial-code prints are unaffected.)
-  std::lock_guard<std::mutex> lock(outputMu_);
   char buf[64];
   switch (code) {
     case 1:  // print signed int in a0

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -149,7 +148,6 @@ class FuncModel {
   SparseMemory memory_;
   std::array<std::uint32_t, kNumGlobalRegs> gr_{};
   std::string output_;
-  std::mutex outputMu_;  // doSyscall appends can race under PDES
   std::uint64_t spawnSeq_ = 0;  // spawn regions executed (labels MemAccess)
   RegionRunner* regionRunner_ = nullptr;
 };

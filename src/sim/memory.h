@@ -9,9 +9,7 @@
 // page slots each) instead of a std::map, so a page lookup is two indexed
 // loads with no tree walk — this is the hot path of every cache-module
 // serve. Node and page pointers are installed with release stores and read
-// with acquire loads, giving the following thread-safety contract (used by
-// the PDES engine, where cluster shards read the read-only-cache path while
-// the hub shard owns all mutation):
+// with acquire loads, giving the following thread-safety contract:
 //   - exactly ONE writer thread may call the mutating operations;
 //   - any number of reader threads may concurrently call readWord/readByte,
 //     and always observe either a fully-zeroed or fully-installed page;

@@ -1,5 +1,6 @@
 #include "src/sim/simulator.h"
 
+#include "src/common/digest.h"
 #include "src/common/error.h"
 
 namespace xmt {
@@ -70,18 +71,6 @@ void Simulator::setTraceSink(TraceSink* sink) {
   if (cycle_) cycle_->setTraceSink(sink);
 }
 
-void Simulator::setPdesShards(int shards) {
-  if (cycle_)
-    throw SimError("setPdesShards must be called before the first run");
-  if (mode_ != SimMode::kCycleAccurate && shards > 1)
-    throw SimError("PDES applies to cycle-accurate mode only");
-  pdesShards_ = shards < 1 ? 1 : shards;
-}
-
-int Simulator::pdesShards() const {
-  return cycle_ ? cycle_->pdesShards() : 1;
-}
-
 void Simulator::onCommit(int cluster, int tcu, const Instruction& in,
                          std::uint32_t pc, std::uint32_t memAddr) {
   for (const auto& f : filters_) f->onCommit(cluster, tcu, in, pc, memAddr);
@@ -105,13 +94,7 @@ void Simulator::onMemAccess(const MemAccess& access) {
 
 void Simulator::ensureCycleModel() {
   if (cycle_) return;
-  // PDES gates: observer/trace callbacks assume a single deterministic
-  // interleaving, so any attached sink pins the model to the sequential
-  // engine. Stats are bit-identical either way; only wall-clock differs.
-  int shards = pdesShards_;
-  if (trace_ != nullptr || !filters_.empty() || !activities_.empty())
-    shards = 1;
-  cycle_ = std::make_unique<CycleModel>(*func_, config_, stats_, shards);
+  cycle_ = std::make_unique<CycleModel>(*func_, config_, stats_);
   cycle_->setCommitObserver(this);
   if (trace_) cycle_->setTraceSink(trace_);
   for (auto& a : activities_)
@@ -156,11 +139,6 @@ RunResult Simulator::run(std::uint64_t maxCycles) {
 RunResult Simulator::runToCheckpoint(std::uint64_t minCycles) {
   if (mode_ != SimMode::kCycleAccurate)
     throw SimError("checkpoints require cycle-accurate mode");
-  // Quiescence detection polls in-flight package counts at instruction
-  // boundaries, which is only exact on the sequential engine.
-  if (cycle_ ? cycle_->pdesShards() > 1 : pdesShards_ > 1)
-    throw SimError("checkpoints require the sequential engine; do not "
-                   "combine setPdesShards with runToCheckpoint");
   ensureCycleModel();
   cycle_->requestCheckpointStop(minCycles);
   RunResult r = finishCycleResult(cycle_->run());
@@ -212,12 +190,7 @@ std::uint64_t Simulator::memoryDigest(
     skip.emplace_back(s.addr, s.addr + s.size);
   }
 
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis
-  auto mix = [&h](std::uint8_t b) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  };
-
+  Fnv1a64 h;
   const SparseMemory& mem = func_->memory();
   const auto end =
       kDataBase + static_cast<std::uint32_t>(programCopy_.data.size());
@@ -228,20 +201,18 @@ std::uint64_t Simulator::memoryDigest(
         b = 0;
         break;
       }
-    mix(b);
+    h.byte(b);
   }
   // Directory of named data symbols (std::map: already name-sorted), so the
   // digest is tied to the symbol layout it hashed, not just raw bytes.
   for (const auto& [name, sym] : programCopy_.symbols) {
     if (sym.isText) continue;
-    for (char c : name) mix(static_cast<std::uint8_t>(c));
-    mix(0);
-    for (int i = 0; i < 4; ++i)
-      mix(static_cast<std::uint8_t>(sym.addr >> (8 * i)));
-    for (int i = 0; i < 4; ++i)
-      mix(static_cast<std::uint8_t>(sym.size >> (8 * i)));
+    h.bytes(name);
+    h.byte(0);
+    h.word(sym.addr);
+    h.word(sym.size);
   }
-  return h;
+  return h.value();
 }
 
 RuntimeControl* Simulator::runtimeControl() { return cycle_.get(); }

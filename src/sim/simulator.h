@@ -70,16 +70,6 @@ class Simulator : private CommitObserver {
   /// Non-owning; must outlive the simulator.
   void setTraceSink(TraceSink* sink);
 
-  /// Opts into the parallel (PDES) cycle-accurate engine with `shards`
-  /// event-loop shards (1 = sequential, the default). Must be called before
-  /// the first run. Silently falls back to sequential when a trace sink,
-  /// filter plug-ins, or activity plug-ins are attached (their callbacks
-  /// assume one interleaving) — stats stay bit-identical either way.
-  void setPdesShards(int shards);
-  /// The shard count the cycle model actually runs with (after gating and
-  /// clamping); 1 before the cycle model exists.
-  int pdesShards() const;
-
   // --- Execution ---
   /// Runs to halt (or `maxCycles` core cycles in cycle-accurate mode;
   /// resumable by calling run() again). Functional mode always runs to halt.
@@ -143,7 +133,6 @@ class Simulator : private CommitObserver {
   };
   std::vector<PendingActivity> activities_;
   TraceSink* trace_ = nullptr;
-  int pdesShards_ = 1;
   bool ranFunctional_ = false;
   Checkpoint lastCheckpoint_;
   bool haveCheckpoint_ = false;

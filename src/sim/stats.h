@@ -60,38 +60,6 @@ struct Stats {
     ++fuCount[static_cast<std::size_t>(opInfo(in.op).fu)];
   }
 
-  /// Folds another Stats' *additive* counters into this one — the PDES
-  /// deterministic merge (shards accumulate into private Stats; the merge
-  /// happens in fixed shard order). Every field here is an unsigned integer
-  /// delta, so addition is exact and order-insensitive. Absolute
-  /// end-of-run fields (cycles, simTime, the cache hit/miss totals synced
-  /// from the actors) are deliberately excluded: they are set once after
-  /// merging.
-  void mergeCounters(const Stats& o) {
-    for (std::size_t i = 0; i < opCount.size(); ++i) opCount[i] += o.opCount[i];
-    for (std::size_t i = 0; i < fuCount.size(); ++i) fuCount[i] += o.fuCount[i];
-    instructions += o.instructions;
-    spawns += o.spawns;
-    virtualThreads += o.virtualThreads;
-    dramRequests += o.dramRequests;
-    prefetchBufferHits += o.prefetchBufferHits;
-    icnPackets += o.icnPackets;
-    memWaitCycles += o.memWaitCycles;
-    psRequests += o.psRequests;
-    psmRequests += o.psmRequests;
-    nonBlockingStores += o.nonBlockingStores;
-    if (perCluster.size() < o.perCluster.size())
-      perCluster.resize(o.perCluster.size());
-    for (std::size_t i = 0; i < o.perCluster.size(); ++i) {
-      perCluster[i].instructions += o.perCluster[i].instructions;
-      perCluster[i].aluOps += o.perCluster[i].aluOps;
-      perCluster[i].mduOps += o.perCluster[i].mduOps;
-      perCluster[i].fpuOps += o.perCluster[i].fpuOps;
-      perCluster[i].memOps += o.perCluster[i].memOps;
-      perCluster[i].activeCycles += o.perCluster[i].activeCycles;
-    }
-  }
-
   /// Multi-line human-readable report (end-of-simulation statistics).
   std::string report() const;
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/common/digest.h"
 #include "src/common/error.h"
 #include "src/common/rng.h"
 #include "src/compiler/driver.h"
@@ -199,13 +200,7 @@ std::uint64_t McExplorer::digestState(const FuncModel& fm) const {
 
   std::sort(s.pages.begin(), s.pages.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mixByte = [&](std::uint8_t b) {
-    h = (h ^ b) * 0x100000001b3ull;
-  };
-  auto mixWord = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mixByte(static_cast<std::uint8_t>(v >> (i * 8)));
-  };
+  Fnv1a64 h;
   for (auto& [pageIndex, bytes] : s.pages) {
     // snapshot() keys pages by index, not byte address.
     std::uint64_t pageBase = static_cast<std::uint64_t>(pageIndex)
@@ -225,11 +220,11 @@ std::uint64_t McExplorer::digestState(const FuncModel& fm) const {
     // A zero-filled page is indistinguishable from an untouched one; skip
     // it so traces differing only in lazy page allocation digest equal.
     if (allZero) continue;
-    mixWord(pageBase);
-    for (std::uint8_t b : bytes) mixByte(b);
+    h.word(pageBase);
+    for (std::uint8_t b : bytes) h.byte(b);
   }
-  for (std::uint32_t g : s.gr) mixWord(g);
-  return h;
+  for (std::uint32_t g : s.gr) h.word<std::uint64_t>(g);
+  return h.value();
 }
 
 void McExplorer::explore(FuncModel& fm, const Context& master,

@@ -263,27 +263,6 @@ TEST(Campaign, ZeroWorkerOptionCompletes) {
   EXPECT_EQ(r.failed, 0u);
 }
 
-// The PDES knob: a campaign run with intra-point parallelism persists
-// records bit-identical to the sequential-engine run.
-TEST(Campaign, PdesShardsKeepRecordsBitIdentical) {
-  auto spec = CampaignSpec::fromText(kSmallSweep);
-  std::string ds = uniqueDir("pdes_seq");
-  std::string dp = uniqueDir("pdes_par");
-  CampaignOptions seq;
-  seq.outDir = ds;
-  seq.workers = 2;
-  CampaignOptions par;
-  par.outDir = dp;
-  par.workers = 2;
-  par.pdesShards = 3;
-  auto rs = campaign::runCampaign(spec, seq);
-  auto rp = campaign::runCampaign(spec, par);
-  EXPECT_EQ(rs.failed, 0u);
-  EXPECT_EQ(rp.failed, 0u);
-  EXPECT_EQ(readFile(ds + "/results.jsonl"), readFile(dp + "/results.jsonl"));
-  EXPECT_EQ(rs.summary, rp.summary);
-}
-
 TEST(Campaign, ResumeRunsExactlyTheMissingPoints) {
   auto spec = CampaignSpec::fromText(kSmallSweep);
   std::string clean = uniqueDir("resume_clean");

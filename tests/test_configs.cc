@@ -4,6 +4,8 @@
 // independent while timing responds as expected.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/common/error.h"
 #include "src/core/toolchain.h"
 #include "src/sim/config.h"
@@ -133,6 +135,14 @@ struct SweepParam {
   bool hashing;
   int prefetchEntries;
 };
+
+// Prints the case's ctest name, e.g. "8x4 mod=16 hash=on pf=2" for 8
+// clusters of 4 TCUs. Without it gtest dumps the struct's bytes, padding
+// included, and the name changes from run to run.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << p.clusters << "x" << p.tcus << " mod=" << p.modules
+      << " hash=" << (p.hashing ? "on" : "off") << " pf=" << p.prefetchEntries;
+}
 
 class ConfigSweep : public ::testing::TestWithParam<SweepParam> {};
 

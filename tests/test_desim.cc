@@ -460,35 +460,5 @@ TEST(EventQueue, StaleHandleAfterBucketReuseIsRejected) {
   }
 }
 
-// --- runWindow (the PDES building block) ------------------------------------
-
-TEST(Scheduler, RunWindowProcessesStrictlyBeforeEnd) {
-  Scheduler s;
-  RecordingActor a("a"), edge("edge"), after("after");
-  s.schedule(&a, 10);
-  s.schedule(&edge, 20);   // exactly at the window end: excluded
-  s.schedule(&after, 30);
-  EXPECT_FALSE(s.runWindow(20));
-  EXPECT_EQ(a.times.size(), 1u);
-  EXPECT_TRUE(edge.times.empty());
-  EXPECT_EQ(s.nextEventTime(), 20);
-  EXPECT_FALSE(s.runWindow(31));
-  EXPECT_EQ(edge.times.size(), 1u);
-  EXPECT_EQ(after.times.size(), 1u);
-  EXPECT_EQ(s.nextEventTime(), -1);
-}
-
-TEST(Scheduler, RunWindowReportsAStopInsideTheWindow) {
-  Scheduler s;
-  RecordingActor a("a"), b("b");
-  s.schedule(&a, 5);
-  s.scheduleStop(7);
-  s.schedule(&b, 9);
-  EXPECT_TRUE(s.runWindow(100));  // stop fired at 7
-  EXPECT_EQ(s.now(), 7);
-  EXPECT_EQ(a.times.size(), 1u);
-  EXPECT_TRUE(b.times.empty());
-}
-
 }  // namespace
 }  // namespace xmt

@@ -12,6 +12,7 @@
 // threads and both hashing settings; the invariant must never break.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "tests/sim_test_util.h"
@@ -155,6 +156,13 @@ struct PsmLitmusParam {
   int delay;
   bool hashing;
 };
+
+// Prints the case's ctest name. Without it gtest dumps the struct's bytes,
+// padding included, and the name changes from run to run.
+void PrintTo(const PsmLitmusParam& p, std::ostream* os) {
+  *os << "threads=" << p.threads << " delay=" << p.delay
+      << " hashing=" << (p.hashing ? "on" : "off");
+}
 
 class PsmOrdering : public ::testing::TestWithParam<PsmLitmusParam> {};
 

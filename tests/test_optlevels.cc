@@ -3,6 +3,8 @@
 // results — only timing may change.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/core/toolchain.h"
 #include "src/workloads/graphs.h"
 #include "src/workloads/kernels.h"
@@ -17,6 +19,14 @@ struct OptCombo {
   bool prefetch;
   bool cluster;
 };
+
+// Prints the case's ctest name. Without it gtest dumps the struct's bytes,
+// padding included, and the name changes from run to run.
+void PrintTo(const OptCombo& c, std::ostream* os) {
+  *os << "O" << c.optLevel << " nbstores=" << (c.nbStores ? "on" : "off")
+      << " prefetch=" << (c.prefetch ? "on" : "off")
+      << " cluster=" << (c.cluster ? "on" : "off");
+}
 
 class OptSweep : public ::testing::TestWithParam<OptCombo> {};
 

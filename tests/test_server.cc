@@ -228,8 +228,8 @@ std::vector<CampaignPoint> gridPoints(const std::string& extra = "") {
 
 TEST(JobQueue, RoundRobinsAcrossClients) {
   JobQueue q(64);
-  std::uint64_t a = q.submit(1, "a", gridPoints(), 1);
-  std::uint64_t b = q.submit(2, "b", gridPoints(), 1);
+  std::uint64_t a = q.submit(1, "a", gridPoints());
+  std::uint64_t b = q.submit(2, "b", gridPoints());
   ASSERT_NE(a, 0u);
   ASSERT_NE(b, 0u);
   // 8 queued points, clients must alternate regardless of submit order.
@@ -248,18 +248,18 @@ TEST(JobQueue, RoundRobinsAcrossClients) {
 
 TEST(JobQueue, BackpressureRejectsBeyondTheBound) {
   JobQueue q(6);
-  EXPECT_NE(q.submit(1, "a", gridPoints(), 1), 0u);  // 4 points
-  EXPECT_EQ(q.submit(2, "b", gridPoints(), 1), 0u);  // 4 more: over 6
+  EXPECT_NE(q.submit(1, "a", gridPoints()), 0u);  // 4 points
+  EXPECT_EQ(q.submit(2, "b", gridPoints()), 0u);  // 4 more: over 6
   // Draining makes room again.
   JobTask t;
   ASSERT_TRUE(q.next(&t));
   ASSERT_TRUE(q.next(&t));
-  EXPECT_NE(q.submit(2, "b", gridPoints(), 1), 0u);  // 2 + 4 <= 6
+  EXPECT_NE(q.submit(2, "b", gridPoints()), 0u);  // 2 + 4 <= 6
 }
 
 TEST(JobQueue, CancelSkipsUndispatchedPoints) {
   JobQueue q(64);
-  std::uint64_t id = q.submit(1, "a", gridPoints(), 1);
+  std::uint64_t id = q.submit(1, "a", gridPoints());
   JobTask t;
   ASSERT_TRUE(q.next(&t));  // one point in flight
   EXPECT_TRUE(q.cancel(id));
