@@ -5,7 +5,8 @@
 #      only useful if real code does not drown in warnings);
 #   2. seeded violations — a definite out-of-bounds store, a constant zero
 #      divisor, and a non-positive ps increment must each be flagged with
-#      its stable --diag-json tag, and --analyze must exit nonzero;
+#      its stable --diag-json tag, and --analyze must exit nonzero; a racy
+#      program under --race-check --hotmem must print one race report;
 #   3. self-validation gates — the in-tree mutation harness (>= 95% of
 #      injected violations caught), the dynamic soundness replay, the
 #      analysis-output golden (loop/spawn xmtsmith programs, registry,
@@ -88,6 +89,20 @@ check_seeded() {  # file tag
 check_seeded "$out/oob.xc" xmt-bounds-oob
 check_seeded "$out/div.xc" xmt-div-zero
 check_seeded "$out/ps.xc" xmt-ps-discipline
+
+echo "== dynamic race report is printed once =="
+cat > "$out/race.xc" <<'EOF'
+int A[4];
+int main() {
+  spawn(0, 7) { A[0] = $; }
+  return 0;
+}
+EOF
+headers=$(./build/examples/xmtcc --race-check --hotmem "$out/race.xc" \
+  2>/dev/null | grep -c "^race check:" || true)
+if [ "$headers" != 1 ]; then
+  echo "expected one 'race check:' report, got $headers" >&2; exit 1
+fi
 
 echo "== mutation harness + dynamic soundness replay =="
 ./build/tests/xmt_tests \

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Smoke-run the event-engine benchmark: build bench_scheduler and execute
-# one short repetition of every workload. This is a build/run canary, not a
-# performance gate — timings on shared CI machines are too noisy to assert
-# on. The committed reference numbers live in BENCH_scheduler.json.
+# Smoke-run the experiment benchmarks: build every bench/ target and execute
+# bench_table1_throughput with a short minimum time. This is a build/run
+# canary, not a performance gate — timings on shared CI machines are too
+# noisy to assert on.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build -j "$(nproc)" --target bench_scheduler
-./build/bench/bench_scheduler --benchmark_min_time=0.05
+targets=()
+for src in bench/bench_*.cc; do targets+=("$(basename "$src" .cc)"); done
+cmake --build build -j "$(nproc)" --target "${targets[@]}"
+./build/bench/bench_table1_throughput --benchmark_min_time=0.05

@@ -20,14 +20,14 @@ std::uint64_t runBfs(xmt::Toolchain& tc, const std::string& src,
   sim->setGlobalArray("adj", g.adj);
   xmt::HotMemoryFilter* filter = nullptr;
   if (withFilter)
-    filter = dynamic_cast<xmt::HotMemoryFilter*>(sim->addFilterPlugin(
-        std::make_unique<xmt::HotMemoryFilter>(5, 64)));
+    filter =
+        sim->addObserver(std::make_unique<xmt::HotMemoryFilter>(5, 64));
   auto r = sim->run();
   if (!r.halted) {
     std::printf("did not halt!\n");
     return 0;
   }
-  if (filter) std::printf("%s", sim->filterReports().c_str());
+  if (filter) std::printf("%s", sim->reports().c_str());
   return r.cycles;
 }
 

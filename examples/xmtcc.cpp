@@ -313,12 +313,9 @@ int main(int argc, char** argv) {
 
     auto sim = std::make_unique<xmt::Simulator>(xmt::assemble(cr.asmText),
                                                 opts.config, opts.mode);
-    xmt::RaceCheckPlugin* racePlugin = nullptr;
     std::unique_ptr<xmt::RandomScheduleRunner> seedRunner;
     if (raceCheck) {
-      auto plugin = std::make_unique<xmt::RaceCheckPlugin>();
-      racePlugin = plugin.get();
-      sim->addFilterPlugin(std::move(plugin));
+      sim->addObserver(std::make_unique<xmt::RaceCheckPlugin>());
       if (haveRaceSeed) {
         // Perturb the spawn-region schedule so the shadow-memory checker
         // observes an interleaving other than the serial default — the
@@ -332,24 +329,23 @@ int main(int argc, char** argv) {
     if (!workloadName.empty()) xmt::workloads::instancePrepare(wi, *sim);
     if (!mapPath.empty())
       sim->applyMemoryMap(xmt::MemoryMap::parse(readFile(mapPath)));
-    if (hotmem)
-      sim->addFilterPlugin(std::make_unique<xmt::HotMemoryFilter>(10));
-    xmt::TextTrace trace(traceLevel == "cycle"
-                             ? xmt::TraceLevel::kCycle
-                             : xmt::TraceLevel::kFunctional);
-    if (!traceLevel.empty()) sim->setTraceSink(&trace);
+    if (hotmem) sim->addObserver(std::make_unique<xmt::HotMemoryFilter>(10));
+    xmt::TextTrace* trace = nullptr;
+    if (!traceLevel.empty())
+      trace = sim->addObserver(std::make_unique<xmt::TextTrace>(
+          traceLevel == "cycle" ? xmt::TraceLevel::kCycle
+                                : xmt::TraceLevel::kFunctional));
 
     auto r = sim->run();
     std::fputs(r.output.c_str(), stdout);
-    if (!traceLevel.empty()) std::fputs(trace.str().c_str(), stdout);
+    if (trace) std::fputs(trace->str().c_str(), stdout);
     for (const auto& sym : dumps) {
       auto vals = sim->getGlobalArray(sym);
       std::printf("%s =", sym.c_str());
       for (auto v : vals) std::printf(" %d", v);
       std::printf("\n");
     }
-    if (hotmem) std::fputs(sim->filterReports().c_str(), stdout);
-    if (racePlugin) std::fputs(racePlugin->report().c_str(), stdout);
+    std::fputs(sim->reports().c_str(), stdout);
     if (!statsJsonPath.empty()) {
       std::string record =
           xmt::runRecordJson(sim->config(), opts.mode, r, sim->stats())

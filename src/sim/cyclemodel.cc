@@ -103,8 +103,7 @@ struct ModelCore {
   std::unique_ptr<SpawnJoiner> spawnJoiner;
   std::vector<std::unique_ptr<SamplerActor>> samplers;
 
-  CommitObserver* observer = nullptr;
-  TraceSink* trace = nullptr;
+  SimObserver* observer = nullptr;  // null when the run is unobserved
 
   // Spawn hardware state (clusters read spawnStart/spawnEnd only while a
   // spawn is active).
@@ -1366,29 +1365,11 @@ void ModelCore::commit(int cluster, int tcu, const Instruction& in,
   if (stats.instructions > cfg.maxInstructions)  // runaway guard
     throw SimError("instruction limit exceeded (" +
                    std::to_string(cfg.maxInstructions) + ")");
-  if (observer) observer->onCommit(cluster, tcu, in, pc, addr);
-  if (trace) {
-    TraceEvent ev;
-    ev.time = now;
-    ev.cluster = cluster;
-    ev.tcu = tcu;
-    ev.pc = pc;
-    ev.in = &in;
-    ev.memAddr = addr;
-    ev.stage = "commit";
-    trace->onEvent(ev);
-  }
+  if (observer) observer->onCommit({now, cluster, tcu, pc, in, addr});
 }
 
 void ModelCore::tracePkg(const char* stage, const Package& pkg, SimTime now) {
-  if (!trace) return;
-  TraceEvent ev;
-  ev.time = now;
-  ev.cluster = pkg.srcCluster;
-  ev.tcu = pkg.srcTcu;
-  ev.memAddr = pkg.addr;
-  ev.stage = stage;
-  trace->onEvent(ev);
+  if (observer) observer->onPackage(stage, pkg, now);
 }
 
 // Deterministic per-package latency for the asynchronous interconnect:
@@ -1532,12 +1513,6 @@ CycleModel::CycleModel(FuncModel& funcModel, const XmtConfig& config,
 
 CycleModel::~CycleModel() = default;
 
-void CycleModel::setCommitObserver(CommitObserver* observer) {
-  core_->observer = observer;
-}
-
-void CycleModel::setTraceSink(TraceSink* sink) { core_->trace = sink; }
-
 void CycleModel::addActivityPlugin(ActivityPlugin* plugin,
                                    std::uint64_t periodCycles) {
   XMT_CHECK(plugin != nullptr && periodCycles > 0);
@@ -1547,8 +1522,10 @@ void CycleModel::addActivityPlugin(ActivityPlugin* plugin,
     core_->samplers.back()->wakeAt(core_->sched.now() + 1);
 }
 
-CycleRunResult CycleModel::run(std::uint64_t maxCycles) {
+CycleRunResult CycleModel::run(std::uint64_t maxCycles,
+                               SimObserver* observer) {
   detail::ModelCore& m = *core_;
+  m.observer = observer;
   if (!m.started) {
     m.started = true;
     m.master->start();

@@ -42,7 +42,6 @@
 #include "src/sim/funcmodel.h"
 #include "src/sim/plugins.h"
 #include "src/sim/stats.h"
-#include "src/sim/trace.h"
 
 namespace xmt {
 
@@ -70,16 +69,14 @@ class CycleModel final : public RuntimeControl {
   CycleModel(FuncModel& funcModel, const XmtConfig& config, Stats& stats);
   ~CycleModel() override;
 
-  void setCommitObserver(CommitObserver* observer);
-  void setTraceSink(TraceSink* sink);
-
   /// Registers an activity plug-in called every `periodCycles` core cycles.
   /// The plug-in is not owned.
   void addActivityPlugin(ActivityPlugin* plugin, std::uint64_t periodCycles);
 
   /// Runs until halt, a requested stop, or `maxCycles` core cycles
-  /// (0 = no limit). Resumable: calling run() again continues.
-  CycleRunResult run(std::uint64_t maxCycles = 0);
+  /// (0 = no limit), reporting to `observer` (may be null). Resumable:
+  /// calling run() again continues.
+  CycleRunResult run(std::uint64_t maxCycles, SimObserver* observer);
 
   bool halted() const;
 

@@ -5,10 +5,23 @@
 
 #include "src/common/error.h"
 #include "src/common/rng.h"
-#include "src/memsys/package.h"
 #include "src/sim/semantics.h"
 
 namespace xmt {
+
+namespace {
+
+// Functional mode has no clock: a commit's time is the count of
+// instructions committed so far (0 when the run keeps no stats).
+void notifyCommit(SimObserver* observer, const Stats* stats, int cluster,
+                  const Instruction& in, std::uint32_t pc,
+                  std::uint32_t memAddr) {
+  if (observer)
+    observer->onCommit({stats ? static_cast<SimTime>(stats->instructions) : 0,
+                        cluster, 0, pc, in, memAddr});
+}
+
+}  // namespace
 
 FuncModel::FuncModel(Program program) : program_(std::move(program)) {
   if (!program_.data.empty())
@@ -195,7 +208,7 @@ std::vector<std::uint32_t> FuncModel::getGlobalArray(
 bool FuncModel::runContextSerial(Context& ctx, bool isMaster,
                                  std::uint64_t maxInstructions,
                                  std::uint64_t& executed,
-                                 CommitObserver* observer, Stats* stats) {
+                                 SimObserver* observer, Stats* stats) {
   for (;;) {
     if (executed >= maxInstructions)
       throw SimError("functional mode exceeded instruction limit (" +
@@ -301,22 +314,20 @@ bool FuncModel::runContextSerial(Context& ctx, bool isMaster,
       case StepClass::kJoin:
         if (isMaster)
           throw SimError("join executed in serial (master) mode");
-        if (observer)
-          observer->onCommit(0, 0, in, pcBefore, 0);
+        notifyCommit(observer, stats, 0, in, pcBefore, 0);
         return false;  // virtual thread complete
       case StepClass::kHalt:
         if (!isMaster) throw SimError("halt executed inside a spawn block");
-        if (observer) observer->onCommit(kMasterCluster, 0, in, pcBefore, 0);
+        notifyCommit(observer, stats, kMasterCluster, in, pcBefore, 0);
         return true;
     }
-    if (observer && cls != StepClass::kJoin && cls != StepClass::kHalt)
-      observer->onCommit(isMaster ? kMasterCluster : 0, 0, in, pcBefore,
-                         memAddr);
+    notifyCommit(observer, stats, isMaster ? kMasterCluster : 0, in, pcBefore,
+                 memAddr);
   }
 }
 
 FunctionalRunResult FuncModel::runFunctional(std::uint64_t maxInstructions,
-                                             CommitObserver* observer,
+                                             SimObserver* observer,
                                              Stats* stats) {
   Context master;
   master.pc = program_.entry;
@@ -420,7 +431,7 @@ RegionExec::VisibleOp RegionExec::decodeVisible(const Context& ctx,
   return op;
 }
 
-void RegionExec::advance(std::size_t t, CommitObserver* observer,
+void RegionExec::advance(std::size_t t, SimObserver* observer,
                          Stats* stats) {
   Thread& th = threads_[t];
   for (;;) {
@@ -463,12 +474,12 @@ void RegionExec::advance(std::size_t t, CommitObserver* observer,
     } else {
       fm_.execSimple(th.ctx, in);
     }
-    if (observer) observer->onCommit(0, 0, in, pcBefore, memAddr);
+    notifyCommit(observer, stats, 0, in, pcBefore, memAddr);
   }
 }
 
 RegionExec::VisibleOp RegionExec::execVisible(std::size_t t,
-                                              CommitObserver* observer,
+                                              SimObserver* observer,
                                               Stats* stats) {
   Thread& th = threads_[t];
   const Instruction& in = fm_.fetch(th.ctx.pc);
@@ -501,7 +512,7 @@ RegionExec::VisibleOp RegionExec::execVisible(std::size_t t,
         observer->onMemAccess({spawnSeq_, th.ctx.reg(kTid), true, op.write,
                                false, op.addr, op.size, in.srcLine});
       th.ctx.pc += 4;
-      if (observer) observer->onCommit(0, 0, in, pcBefore, op.addr);
+      notifyCommit(observer, stats, 0, in, pcBefore, op.addr);
       break;
     }
     case OpKind::kPs: {
@@ -509,7 +520,7 @@ RegionExec::VisibleOp RegionExec::execVisible(std::size_t t,
       std::uint32_t old = fm_.psFetchAdd(in.rt, th.ctx.reg(in.rd));
       th.ctx.setReg(in.rd, old);
       th.ctx.pc += 4;
-      if (observer) observer->onCommit(0, 0, in, pcBefore, 0);
+      notifyCommit(observer, stats, 0, in, pcBefore, 0);
       break;
     }
     case OpKind::kPsm: {
@@ -520,17 +531,17 @@ RegionExec::VisibleOp RegionExec::execVisible(std::size_t t,
         observer->onMemAccess({spawnSeq_, th.ctx.reg(kTid), true, true, true,
                                op.addr, 4, in.srcLine});
       th.ctx.pc += 4;
-      if (observer) observer->onCommit(0, 0, in, pcBefore, op.addr);
+      notifyCommit(observer, stats, 0, in, pcBefore, op.addr);
       break;
     }
     case OpKind::kGrRead:
     case OpKind::kGrWrite:
     case OpKind::kOutput:
       fm_.execSimple(th.ctx, in);
-      if (observer) observer->onCommit(0, 0, in, pcBefore, 0);
+      notifyCommit(observer, stats, 0, in, pcBefore, 0);
       break;
     case OpKind::kJoin:
-      if (observer) observer->onCommit(0, 0, in, pcBefore, 0);
+      notifyCommit(observer, stats, 0, in, pcBefore, 0);
       th.done = true;
       th.pending = VisibleOp{};
       --liveThreads_;
@@ -542,7 +553,7 @@ RegionExec::VisibleOp RegionExec::execVisible(std::size_t t,
   return op;
 }
 
-RegionExec::VisibleOp RegionExec::step(std::size_t t, CommitObserver* observer,
+RegionExec::VisibleOp RegionExec::step(std::size_t t, SimObserver* observer,
                                        Stats* stats) {
   Thread& th = threads_[t];
   XMT_CHECK(!th.done);
@@ -557,7 +568,7 @@ RegionExec::VisibleOp RegionExec::step(std::size_t t, CommitObserver* observer,
 std::uint64_t RandomScheduleRunner::runRegion(
     FuncModel& fm, const Context& master, std::uint32_t startPc,
     std::uint32_t low, std::uint32_t high, std::uint64_t spawnSeq,
-    std::uint64_t instrBudget, CommitObserver* observer, Stats* stats) {
+    std::uint64_t instrBudget, SimObserver* observer, Stats* stats) {
   RegionExec exec(fm, master, startPc, low, high, spawnSeq, instrBudget,
                   /*eager=*/false);
   if (stats) stats->virtualThreads += exec.threadCount();

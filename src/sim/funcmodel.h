@@ -17,6 +17,7 @@
 
 #include "src/assembler/program.h"
 #include "src/sim/memory.h"
+#include "src/sim/observer.h"
 #include "src/sim/stats.h"
 
 namespace xmt {
@@ -58,7 +59,7 @@ class RegionRunner {
                                   std::uint32_t startPc, std::uint32_t low,
                                   std::uint32_t high, std::uint64_t spawnSeq,
                                   std::uint64_t instrBudget,
-                                  CommitObserver* observer, Stats* stats) = 0;
+                                  SimObserver* observer, Stats* stats) = 0;
 };
 
 class FuncModel {
@@ -119,7 +120,7 @@ class FuncModel {
   /// Serializes spawn blocks. `observer` may be null. Throws SimError if
   /// `maxInstructions` is exceeded (runaway-program guard).
   FunctionalRunResult runFunctional(std::uint64_t maxInstructions,
-                                    CommitObserver* observer,
+                                    SimObserver* observer,
                                     Stats* stats);
 
   /// Installs a spawn-region executor (non-owning; null restores the
@@ -140,7 +141,7 @@ class FuncModel {
   // Returns true when a halt was executed.
   bool runContextSerial(Context& ctx, bool isMaster,
                         std::uint64_t maxInstructions, std::uint64_t& executed,
-                        CommitObserver* observer, Stats* stats);
+                        SimObserver* observer, Stats* stats);
 
   std::uint32_t symbolWordAddr(const std::string& name, const char* why) const;
 
@@ -212,7 +213,7 @@ class RegionExec {
   /// Executes thread t's next visible operation (and, in lazy mode, the
   /// invisible instructions leading up to it) and returns it. Throws
   /// SimError on budget exhaustion, nested spawn, or in-region halt.
-  VisibleOp step(std::size_t t, CommitObserver* observer, Stats* stats);
+  VisibleOp step(std::size_t t, SimObserver* observer, Stats* stats);
 
  private:
   struct Thread {
@@ -222,9 +223,9 @@ class RegionExec {
     VisibleOp pending;
   };
 
-  void advance(std::size_t t, CommitObserver* observer, Stats* stats);
+  void advance(std::size_t t, SimObserver* observer, Stats* stats);
   VisibleOp decodeVisible(const Context& ctx, const Instruction& in) const;
-  VisibleOp execVisible(std::size_t t, CommitObserver* observer, Stats* stats);
+  VisibleOp execVisible(std::size_t t, SimObserver* observer, Stats* stats);
   void countInstr(Stats* stats, const Instruction& in);
 
   FuncModel& fm_;
@@ -246,7 +247,7 @@ class RandomScheduleRunner : public RegionRunner {
   std::uint64_t runRegion(FuncModel& fm, const Context& master,
                           std::uint32_t startPc, std::uint32_t low,
                           std::uint32_t high, std::uint64_t spawnSeq,
-                          std::uint64_t instrBudget, CommitObserver* observer,
+                          std::uint64_t instrBudget, SimObserver* observer,
                           Stats* stats) override;
 
  private:

@@ -5,13 +5,10 @@
 
 namespace xmt {
 
-void HotMemoryFilter::onCommit(int cluster, int tcu, const Instruction& in,
-                               std::uint32_t pc, std::uint32_t memAddr) {
-  (void)cluster;
-  (void)tcu;
-  (void)pc;
+void HotMemoryFilter::onCommit(const CommitEvent& ev) {
+  const Instruction& in = ev.in;
   if (!in.isMemory() || in.op == Op::kFence || in.op == Op::kPref) return;
-  ++counts_[memAddr / granularity_ * granularity_];
+  ++counts_[ev.memAddr / granularity_ * granularity_];
 }
 
 std::vector<std::pair<std::uint32_t, std::uint64_t>> HotMemoryFilter::top()
@@ -34,13 +31,8 @@ std::string HotMemoryFilter::report() const {
   return ss.str();
 }
 
-void HotLineFilter::onCommit(int cluster, int tcu, const Instruction& in,
-                             std::uint32_t pc, std::uint32_t memAddr) {
-  (void)cluster;
-  (void)tcu;
-  (void)pc;
-  (void)memAddr;
-  ++counts_[in.srcLine];
+void HotLineFilter::onCommit(const CommitEvent& ev) {
+  ++counts_[ev.in.srcLine];
 }
 
 std::vector<std::pair<std::int32_t, std::uint64_t>> HotLineFilter::top()

@@ -1,4 +1,5 @@
-// Plug-in interfaces: filter plug-ins and activity plug-ins.
+// Plug-ins: the activity plug-in controller interface and the filter
+// plug-ins, which are SimObservers (observer.h).
 //
 // "Users can customize the instruction statistics reported at the end of the
 // simulation via external filter plug-ins. ... instruction and activity
@@ -16,8 +17,8 @@
 
 #include "src/assembler/program.h"
 #include "src/desim/scheduler.h"
-#include "src/isa/isa.h"
 #include "src/sim/config.h"
+#include "src/sim/observer.h"
 #include "src/sim/stats.h"
 
 namespace xmt {
@@ -45,34 +46,24 @@ class RuntimeControl {
   virtual void requestStop() = 0;
 };
 
-/// Called at a fixed cycle interval during cycle-accurate simulation.
+/// Called at a fixed cycle interval during cycle-accurate simulation. Unlike
+/// a SimObserver it may change the run (clock domains, stop), so it is a
+/// separate controller interface.
 class ActivityPlugin {
  public:
   virtual ~ActivityPlugin() = default;
   virtual void onInterval(RuntimeControl& rc) = 0;
 };
 
-/// Observes every committed instruction; reports at end of simulation.
-class FilterPlugin {
- public:
-  virtual ~FilterPlugin() = default;
-  virtual void onCommit(int cluster, int tcu, const Instruction& in,
-                        std::uint32_t pc, std::uint32_t memAddr) = 0;
-  /// Architectural memory access (functional mode). Default: ignored.
-  virtual void onMemAccess(const MemAccess& access) { (void)access; }
-  virtual std::string report() const = 0;
-};
-
 /// The default filter plug-in from the paper: "creates a list of most
 /// frequently accessed locations in the XMT shared memory space", to help a
 /// programmer find memory bottlenecks.
-class HotMemoryFilter : public FilterPlugin {
+class HotMemoryFilter : public SimObserver {
  public:
   explicit HotMemoryFilter(int topN = 10, std::uint32_t granularityBytes = 4)
       : topN_(topN), granularity_(granularityBytes) {}
 
-  void onCommit(int cluster, int tcu, const Instruction& in,
-                std::uint32_t pc, std::uint32_t memAddr) override;
+  void onCommit(const CommitEvent& ev) override;
   std::string report() const override;
 
   /// (address, count) pairs, most frequent first.
@@ -86,11 +77,10 @@ class HotMemoryFilter : public FilterPlugin {
 
 /// Filter plug-in counting instructions per assembly source line — the hook
 /// that lets the compiler refer hot assembly back to XMTC lines.
-class HotLineFilter : public FilterPlugin {
+class HotLineFilter : public SimObserver {
  public:
   explicit HotLineFilter(int topN = 10) : topN_(topN) {}
-  void onCommit(int cluster, int tcu, const Instruction& in,
-                std::uint32_t pc, std::uint32_t memAddr) override;
+  void onCommit(const CommitEvent& ev) override;
   std::string report() const override;
   std::vector<std::pair<std::int32_t, std::uint64_t>> top() const;
 
@@ -107,7 +97,7 @@ class HotLineFilter : public FilterPlugin {
 /// in the same region. psm-to-psm accesses are exempt (the sanctioned
 /// concurrent-update primitive); psm against a plain access still races.
 /// This is the dynamic cross-check for the compiler's static race lint.
-class RaceCheckPlugin : public FilterPlugin {
+class RaceCheckPlugin : public SimObserver {
  public:
   struct DynRace {
     std::uint32_t addr = 0;
@@ -116,8 +106,6 @@ class RaceCheckPlugin : public FilterPlugin {
     std::int32_t srcLine = 0;      // line of the second (racing) access
   };
 
-  void onCommit(int, int, const Instruction&, std::uint32_t,
-                std::uint32_t) override {}
   void onMemAccess(const MemAccess& access) override;
   std::string report() const override;
 

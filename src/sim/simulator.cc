@@ -42,61 +42,17 @@ std::vector<std::int32_t> Simulator::getGlobalArray(
   return std::vector<std::int32_t>(raw.begin(), raw.end());
 }
 
-FilterPlugin* Simulator::addFilterPlugin(
-    std::unique_ptr<FilterPlugin> plugin) {
-  filters_.push_back(std::move(plugin));
-  return filters_.back().get();
-}
-
-std::string Simulator::filterReports() const {
-  std::string out;
-  for (const auto& f : filters_) out += f->report();
-  return out;
-}
-
 ActivityPlugin* Simulator::addActivityPlugin(
     std::unique_ptr<ActivityPlugin> plugin, std::uint64_t periodCycles) {
   ActivityPlugin* raw = plugin.get();
-  if (cycle_) {
-    cycle_->addActivityPlugin(raw, periodCycles);
-    activities_.push_back({std::move(plugin), periodCycles});
-  } else {
-    activities_.push_back({std::move(plugin), periodCycles});
-  }
+  if (cycle_) cycle_->addActivityPlugin(raw, periodCycles);
+  activities_.push_back({std::move(plugin), periodCycles});
   return raw;
-}
-
-void Simulator::setTraceSink(TraceSink* sink) {
-  trace_ = sink;
-  if (cycle_) cycle_->setTraceSink(sink);
-}
-
-void Simulator::onCommit(int cluster, int tcu, const Instruction& in,
-                         std::uint32_t pc, std::uint32_t memAddr) {
-  for (const auto& f : filters_) f->onCommit(cluster, tcu, in, pc, memAddr);
-  if (mode_ == SimMode::kFunctional && trace_) {
-    // Functional mode has no clock; use the instruction count as "time".
-    TraceEvent ev;
-    ev.time = static_cast<SimTime>(stats_.instructions);
-    ev.cluster = cluster;
-    ev.tcu = tcu;
-    ev.pc = pc;
-    ev.in = &in;
-    ev.memAddr = memAddr;
-    ev.stage = "commit";
-    trace_->onEvent(ev);
-  }
-}
-
-void Simulator::onMemAccess(const MemAccess& access) {
-  for (const auto& f : filters_) f->onMemAccess(access);
 }
 
 void Simulator::ensureCycleModel() {
   if (cycle_) return;
   cycle_ = std::make_unique<CycleModel>(*func_, config_, stats_);
-  cycle_->setCommitObserver(this);
-  if (trace_) cycle_->setTraceSink(trace_);
   for (auto& a : activities_)
     cycle_->addActivityPlugin(a.plugin.get(), a.period);
 }
@@ -122,7 +78,8 @@ RunResult Simulator::run(std::uint64_t maxCycles) {
                      "Simulator");
     ranFunctional_ = true;
     FunctionalRunResult fr =
-        func_->runFunctional(config_.maxInstructions, this, &stats_);
+        func_->runFunctional(config_.maxInstructions, observers_.target(),
+                             &stats_);
     RunResult out;
     out.halted = fr.halted;
     out.haltCode = fr.haltCode;
@@ -133,7 +90,7 @@ RunResult Simulator::run(std::uint64_t maxCycles) {
   ensureCycleModel();
   if (cycle_->halted())
     throw SimError("program already halted; construct a new Simulator");
-  return finishCycleResult(cycle_->run(maxCycles));
+  return finishCycleResult(cycle_->run(maxCycles, observers_.target()));
 }
 
 RunResult Simulator::runToCheckpoint(std::uint64_t minCycles) {
@@ -141,7 +98,7 @@ RunResult Simulator::runToCheckpoint(std::uint64_t minCycles) {
     throw SimError("checkpoints require cycle-accurate mode");
   ensureCycleModel();
   cycle_->requestCheckpointStop(minCycles);
-  RunResult r = finishCycleResult(cycle_->run());
+  RunResult r = finishCycleResult(cycle_->run(0, observers_.target()));
   if (r.checkpointTaken) {
     XMT_CHECK(cycle_->quiescent());
     lastCheckpoint_.arch = func_->saveArchState();
@@ -214,7 +171,5 @@ std::uint64_t Simulator::memoryDigest(
   }
   return h.value();
 }
-
-RuntimeControl* Simulator::runtimeControl() { return cycle_.get(); }
 
 }  // namespace xmt

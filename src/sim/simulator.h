@@ -2,7 +2,7 @@
 //
 // Wraps the functional model and the cycle-accurate model behind one API
 // (Fig. 3): load a program (assembly + memory map), choose a configuration
-// and a simulation mode, attach filter/activity plug-ins and traces, run,
+// and a simulation mode, attach observers and activity plug-ins, run,
 // then read the outputs — cycle count, instruction statistics, printf
 // output, and memory dump via named global symbols.
 #pragma once
@@ -19,6 +19,7 @@
 #include "src/sim/config.h"
 #include "src/sim/cyclemodel.h"
 #include "src/sim/funcmodel.h"
+#include "src/sim/observer.h"
 #include "src/sim/plugins.h"
 #include "src/sim/stats.h"
 #include "src/sim/trace.h"
@@ -41,12 +42,12 @@ struct RunResult {
   bool checkpointTaken = false;
 };
 
-class Simulator : private CommitObserver {
+class Simulator {
  public:
   explicit Simulator(Program program,
                      XmtConfig config = XmtConfig::fpga64(),
                      SimMode mode = SimMode::kCycleAccurate);
-  ~Simulator() override;
+  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -59,16 +60,22 @@ class Simulator : private CommitObserver {
   std::int32_t getGlobal(const std::string& name) const;
   std::vector<std::int32_t> getGlobalArray(const std::string& name) const;
 
-  // --- Plug-ins and traces ---
-  /// Takes ownership; reports are collected by filterReports().
-  FilterPlugin* addFilterPlugin(std::unique_ptr<FilterPlugin> plugin);
-  std::string filterReports() const;
+  // --- Observers and plug-ins ---
+  /// Takes ownership of an observer (filter plug-in, trace, checker); every
+  /// attached observer sees every event of the following runs. Returns the
+  /// observer for reading its results afterwards.
+  template <typename T>
+  T* addObserver(std::unique_ptr<T> observer) {
+    T* raw = observer.get();
+    observers_.add(std::move(observer));
+    return raw;
+  }
+  /// The attached observers' end-of-run reports, in attachment order.
+  std::string reports() const { return observers_.report(); }
   /// Takes ownership; called every `periodCycles` core cycles
   /// (cycle-accurate mode only).
   ActivityPlugin* addActivityPlugin(std::unique_ptr<ActivityPlugin> plugin,
                                     std::uint64_t periodCycles);
-  /// Non-owning; must outlive the simulator.
-  void setTraceSink(TraceSink* sink);
 
   // --- Execution ---
   /// Runs to halt (or `maxCycles` core cycles in cycle-accurate mode;
@@ -109,14 +116,8 @@ class Simulator : private CommitObserver {
   const XmtConfig& config() const { return config_; }
   SimMode mode() const { return mode_; }
   FuncModel& funcModel() { return *func_; }
-  /// RuntimeControl for manual DVFS experiments; null in functional mode
-  /// before the first run.
-  RuntimeControl* runtimeControl();
 
  private:
-  void onCommit(int cluster, int tcu, const Instruction& in,
-                std::uint32_t pc, std::uint32_t memAddr) override;
-  void onMemAccess(const MemAccess& access) override;
   void ensureCycleModel();
   RunResult finishCycleResult(const CycleRunResult& r);
 
@@ -126,13 +127,12 @@ class Simulator : private CommitObserver {
   Stats stats_;
   std::unique_ptr<FuncModel> func_;
   std::unique_ptr<CycleModel> cycle_;
-  std::vector<std::unique_ptr<FilterPlugin>> filters_;
+  ObserverList observers_;
   struct PendingActivity {
     std::unique_ptr<ActivityPlugin> plugin;
     std::uint64_t period;
   };
   std::vector<PendingActivity> activities_;
-  TraceSink* trace_ = nullptr;
   bool ranFunctional_ = false;
   Checkpoint lastCheckpoint_;
   bool haveCheckpoint_ = false;

@@ -64,29 +64,4 @@ struct Stats {
   std::string report() const;
 };
 
-/// One architectural memory access as observed by the functional model —
-/// the event stream the dynamic race checker consumes.
-struct MemAccess {
-  std::uint64_t spawnSeq = 0;  // 0 in serial code; else the Nth spawn region
-  std::uint32_t tid = 0;       // virtual thread ID ($); 0 for the master
-  bool parallel = false;       // inside a spawn region
-  bool write = false;
-  bool atomic = false;         // psm (counts as both read and write)
-  std::uint32_t addr = 0;
-  std::uint32_t size = 4;      // bytes
-  std::int32_t srcLine = 0;    // source line carried on the instruction
-};
-
-/// Observer invoked at each instruction commit. The Simulator routes these
-/// to the statistics, filter plug-ins, and trace sinks.
-class CommitObserver {
- public:
-  virtual ~CommitObserver() = default;
-  /// `memAddr` is the effective address for memory-class ops, 0 otherwise.
-  virtual void onCommit(int cluster, int tcu, const Instruction& in,
-                        std::uint32_t pc, std::uint32_t memAddr) = 0;
-  /// Architectural memory access (loads, stores, psm). Default: ignored.
-  virtual void onMemAccess(const MemAccess& access) { (void)access; }
-};
-
 }  // namespace xmt

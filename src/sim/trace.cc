@@ -2,29 +2,34 @@
 
 #include <iomanip>
 
-#include "src/memsys/package.h"
-
 namespace xmt {
 
-void TextTrace::onEvent(const TraceEvent& ev) {
-  if (level_ == TraceLevel::kOff) return;
-  if (level_ == TraceLevel::kFunctional &&
-      std::string_view(ev.stage) != "commit")
-    return;
-  if (fCluster_ != -2 && (ev.cluster != fCluster_ || ev.tcu != fTcu_)) return;
-  if (fOp_ != Op::kOpCount && (!ev.in || ev.in->op != fOp_)) return;
+void TextTrace::onCommit(const CommitEvent& ev) {
+  if (fOp_ != Op::kOpCount && ev.in.op != fOp_) return;
+  emit(ev.time, ev.cluster, ev.tcu, "commit", ev.pc, &ev.in, ev.memAddr);
+}
+
+void TextTrace::onPackage(const char* stage, const Package& pkg,
+                          SimTime time) {
+  // A package hop carries no instruction, so any opcode filter drops it.
+  if (level_ != TraceLevel::kCycle || fOp_ != Op::kOpCount) return;
+  emit(time, pkg.srcCluster, pkg.srcTcu, stage, 0, nullptr, pkg.addr);
+}
+
+void TextTrace::emit(SimTime time, int cluster, int tcu, const char* stage,
+                     std::uint32_t pc, const Instruction* in,
+                     std::uint32_t addr) {
+  if (fCluster_ != -2 && (cluster != fCluster_ || tcu != fTcu_)) return;
   ++count_;
-  out_ << std::setw(10) << ev.time << " ";
-  if (ev.cluster == kMasterCluster)
+  out_ << std::setw(10) << time << " ";
+  if (cluster == kMasterCluster)
     out_ << "master      ";
   else
-    out_ << "c" << std::setw(2) << ev.cluster << "/t" << std::setw(2)
-         << ev.tcu << "    ";
-  out_ << std::setw(8) << ev.stage << "  pc=0x" << std::hex << ev.pc
-       << std::dec;
-  if (ev.in) out_ << "  " << disassemble(*ev.in);
-  if (ev.memAddr != 0)
-    out_ << "  addr=0x" << std::hex << ev.memAddr << std::dec;
+    out_ << "c" << std::setw(2) << cluster << "/t" << std::setw(2) << tcu
+         << "    ";
+  out_ << std::setw(8) << stage << "  pc=0x" << std::hex << pc << std::dec;
+  if (in) out_ << "  " << disassemble(*in);
+  if (addr != 0) out_ << "  addr=0x" << std::hex << addr << std::dec;
   out_ << "\n";
 }
 

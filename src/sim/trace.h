@@ -12,33 +12,16 @@
 #include <sstream>
 #include <string>
 
-#include "src/desim/scheduler.h"
-#include "src/isa/isa.h"
+#include "src/sim/observer.h"
 
 namespace xmt {
 
-struct TraceEvent {
-  SimTime time = 0;
-  int cluster = 0;  // kMasterCluster for the master
-  int tcu = 0;
-  std::uint32_t pc = 0;
-  const Instruction* in = nullptr;
-  std::uint32_t memAddr = 0;
-  /// Component stage: "commit", "icn", "cache", "dram" — commit-only at the
-  /// functional level; package hops appear at the cycle-accurate level.
-  const char* stage = "commit";
-};
-
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void onEvent(const TraceEvent& ev) = 0;
-};
-
-enum class TraceLevel { kOff, kFunctional, kCycle };
+/// kFunctional lists committed instructions; kCycle adds the package hops
+/// through the icn, cache and dram components.
+enum class TraceLevel { kFunctional, kCycle };
 
 /// Text trace with the paper's filters: by TCU and by opcode.
-class TextTrace : public TraceSink {
+class TextTrace : public SimObserver {
  public:
   explicit TextTrace(TraceLevel level = TraceLevel::kFunctional)
       : level_(level) {}
@@ -51,12 +34,18 @@ class TextTrace : public TraceSink {
   /// Restrict to one opcode; Op::kOpCount means "all".
   void filterOp(Op op) { fOp_ = op; }
 
-  void onEvent(const TraceEvent& ev) override;
+  void onCommit(const CommitEvent& ev) override;
+  void onPackage(const char* stage, const Package& pkg,
+                 SimTime time) override;
 
   std::string str() const { return out_.str(); }
   std::uint64_t eventCount() const { return count_; }
 
  private:
+  /// Applies the TCU filter, then appends one line.
+  void emit(SimTime time, int cluster, int tcu, const char* stage,
+            std::uint32_t pc, const Instruction* in, std::uint32_t addr);
+
   TraceLevel level_;
   int fCluster_ = -2;  // -2 = any (kMasterCluster is -1)
   int fTcu_ = -1;

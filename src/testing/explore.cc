@@ -481,7 +481,7 @@ std::uint64_t McExplorer::runRegion(FuncModel& fm, const Context& master,
                                     std::uint32_t high,
                                     std::uint64_t spawnSeq,
                                     std::uint64_t instrBudget,
-                                    CommitObserver* observer, Stats* stats) {
+                                    SimObserver* observer, Stats* stats) {
   std::int64_t count = static_cast<std::int64_t>(static_cast<std::int32_t>(high)) -
                        static_cast<std::int64_t>(static_cast<std::int32_t>(low)) + 1;
   if (count < 0) count = 0;

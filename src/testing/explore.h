@@ -120,7 +120,7 @@ class McExplorer : public RegionRunner {
   std::uint64_t runRegion(FuncModel& fm, const Context& master,
                           std::uint32_t startPc, std::uint32_t low,
                           std::uint32_t high, std::uint64_t spawnSeq,
-                          std::uint64_t instrBudget, CommitObserver* observer,
+                          std::uint64_t instrBudget, SimObserver* observer,
                           Stats* stats) override;
 
   const std::vector<McViolation>& violations() const { return violations_; }

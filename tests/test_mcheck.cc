@@ -396,9 +396,7 @@ OracleVerdicts runOracles(const std::string& source) {
   Program prog = compileToProgram(source, CompilerOptions{});
   {
     Simulator sim(prog, XmtConfig::fpga64(), SimMode::kFunctional);
-    auto plugin = std::make_unique<RaceCheckPlugin>();
-    RaceCheckPlugin* rc = plugin.get();
-    sim.addFilterPlugin(std::move(plugin));
+    auto* rc = sim.addObserver(std::make_unique<RaceCheckPlugin>());
     sim.run();
     v.dynamicRace = !rc->clean();
   }

@@ -1,5 +1,5 @@
-// Tests for filter plug-ins, activity plug-ins and execution traces
-// (paper Sections III-B and III-E).
+// Tests for observers (filter plug-ins and execution traces) and activity
+// plug-ins (paper Sections III-B and III-E).
 #include <gtest/gtest.h>
 
 #include "tests/sim_test_util.h"
@@ -29,22 +29,20 @@ Lloop:
 
 TEST(FilterPlugins, HotMemoryFindsTheBottleneck) {
   auto sim = testutil::makeSim(kMemoryHog, SimMode::kCycleAccurate);
-  auto* filter = dynamic_cast<HotMemoryFilter*>(
-      sim->addFilterPlugin(std::make_unique<HotMemoryFilter>(3)));
+  auto* filter = sim->addObserver(std::make_unique<HotMemoryFilter>(3));
   ASSERT_TRUE(sim->run().halted);
   auto top = filter->top();
   ASSERT_FALSE(top.empty());
   // The hottest location is HOTWORD with >= 100 accesses.
   EXPECT_EQ(top[0].first, kDataBase);
   EXPECT_GE(top[0].second, 100u);
-  EXPECT_NE(sim->filterReports().find("hottest memory locations"),
+  EXPECT_NE(sim->reports().find("hottest memory locations"),
             std::string::npos);
 }
 
 TEST(FilterPlugins, WorkInFunctionalModeToo) {
   auto sim = testutil::makeSim(kMemoryHog, SimMode::kFunctional);
-  auto* filter = dynamic_cast<HotMemoryFilter*>(
-      sim->addFilterPlugin(std::make_unique<HotMemoryFilter>(3)));
+  auto* filter = sim->addObserver(std::make_unique<HotMemoryFilter>(3));
   ASSERT_TRUE(sim->run().halted);
   ASSERT_FALSE(filter->top().empty());
   EXPECT_EQ(filter->top()[0].first, kDataBase);
@@ -52,8 +50,7 @@ TEST(FilterPlugins, WorkInFunctionalModeToo) {
 
 TEST(FilterPlugins, HotLineMapsBackToAssembly) {
   auto sim = testutil::makeSim(kMemoryHog, SimMode::kCycleAccurate);
-  auto* filter = dynamic_cast<HotLineFilter*>(
-      sim->addFilterPlugin(std::make_unique<HotLineFilter>(5)));
+  auto* filter = sim->addObserver(std::make_unique<HotLineFilter>(5));
   ASSERT_TRUE(sim->run().halted);
   auto top = filter->top();
   ASSERT_GE(top.size(), 2u);
@@ -111,32 +108,32 @@ TEST(ActivityPlugins, CanStopTheSimulation) {
 
 TEST(Trace, FunctionalLevelListsCommittedInstructions) {
   auto sim = testutil::makeSim(kMemoryHog, SimMode::kCycleAccurate);
-  TextTrace trace(TraceLevel::kFunctional);
-  sim->setTraceSink(&trace);
+  auto* trace =
+      sim->addObserver(std::make_unique<TextTrace>(TraceLevel::kFunctional));
   ASSERT_TRUE(sim->run().halted);
-  EXPECT_EQ(trace.eventCount(), sim->stats().instructions);
-  EXPECT_NE(trace.str().find("halt"), std::string::npos);
-  EXPECT_NE(trace.str().find("master"), std::string::npos);
+  EXPECT_EQ(trace->eventCount(), sim->stats().instructions);
+  EXPECT_NE(trace->str().find("halt"), std::string::npos);
+  EXPECT_NE(trace->str().find("master"), std::string::npos);
 }
 
 TEST(Trace, CycleLevelIncludesComponentStages) {
   auto sim = testutil::makeSim(kMemoryHog, SimMode::kCycleAccurate);
-  TextTrace trace(TraceLevel::kCycle);
-  sim->setTraceSink(&trace);
+  auto* trace =
+      sim->addObserver(std::make_unique<TextTrace>(TraceLevel::kCycle));
   ASSERT_TRUE(sim->run().halted);
   // Package hops through cache (and DRAM on misses) appear.
-  EXPECT_NE(trace.str().find("cache"), std::string::npos);
-  EXPECT_NE(trace.str().find("dram"), std::string::npos);
-  EXPECT_GT(trace.eventCount(), sim->stats().instructions);
+  EXPECT_NE(trace->str().find("cache"), std::string::npos);
+  EXPECT_NE(trace->str().find("dram"), std::string::npos);
+  EXPECT_GT(trace->eventCount(), sim->stats().instructions);
 }
 
 TEST(Trace, OpFilterRestricts) {
   auto sim = testutil::makeSim(kMemoryHog, SimMode::kCycleAccurate);
-  TextTrace trace(TraceLevel::kFunctional);
-  trace.filterOp(Op::kHalt);
-  sim->setTraceSink(&trace);
+  auto* trace =
+      sim->addObserver(std::make_unique<TextTrace>(TraceLevel::kFunctional));
+  trace->filterOp(Op::kHalt);
   ASSERT_TRUE(sim->run().halted);
-  EXPECT_EQ(trace.eventCount(), 1u);
+  EXPECT_EQ(trace->eventCount(), 1u);
 }
 
 TEST(Trace, TcuFilterRestricts) {
@@ -155,17 +152,31 @@ Le:
   halt
 )";
   auto sim = testutil::makeSim(parallel, SimMode::kCycleAccurate);
-  TextTrace all(TraceLevel::kFunctional);
-  TextTrace one(TraceLevel::kFunctional);
-  one.filterTcu(0, 0);  // cluster 0, TCU 0 only
-  sim->setTraceSink(&all);
-  // Only one sink is supported at a time; run twice with fresh sims.
+  auto* all =
+      sim->addObserver(std::make_unique<TextTrace>(TraceLevel::kFunctional));
+  auto* one =
+      sim->addObserver(std::make_unique<TextTrace>(TraceLevel::kFunctional));
+  one->filterTcu(0, 0);  // cluster 0, TCU 0 only
   ASSERT_TRUE(sim->run().halted);
-  auto sim2 = testutil::makeSim(parallel, SimMode::kCycleAccurate);
-  sim2->setTraceSink(&one);
-  ASSERT_TRUE(sim2->run().halted);
-  EXPECT_GT(all.eventCount(), one.eventCount());
-  EXPECT_GT(one.eventCount(), 0u);
+  EXPECT_EQ(all->eventCount(), sim->stats().instructions);
+  EXPECT_GT(all->eventCount(), one->eventCount());
+  EXPECT_GT(one->eventCount(), 0u);
+}
+
+TEST(Observers, EveryObserverSeesEveryCommit) {
+  for (SimMode mode : {SimMode::kFunctional, SimMode::kCycleAccurate}) {
+    auto sim = testutil::makeSim(kMemoryHog, mode);
+    auto* trace =
+        sim->addObserver(std::make_unique<TextTrace>(TraceLevel::kFunctional));
+    auto* lines = sim->addObserver(std::make_unique<HotLineFilter>(1000));
+    ASSERT_TRUE(sim->run().halted);
+    std::uint64_t lineCommits = 0;
+    for (const auto& [line, count] : lines->top()) lineCommits += count;
+    EXPECT_EQ(trace->eventCount(), sim->stats().instructions);
+    EXPECT_EQ(lineCommits, sim->stats().instructions);
+    EXPECT_NE(sim->reports().find("hottest assembly lines"),
+              std::string::npos);
+  }
 }
 
 TEST(Stats, ReportMentionsKeySections) {

@@ -207,8 +207,7 @@ TEST(CrossValidation, StaticAndDynamicVerdictsAgree) {
     // Dynamic verdict: run functionally with the shadow-memory checker.
     Program prog = compileToProgram(b.source);
     Simulator sim(prog, XmtConfig::fpga64(), SimMode::kFunctional);
-    auto* plugin = static_cast<RaceCheckPlugin*>(
-        sim.addFilterPlugin(std::make_unique<RaceCheckPlugin>()));
+    auto* plugin = sim.addObserver(std::make_unique<RaceCheckPlugin>());
     seedInputs(sim, prog);
     RunResult r = sim.run();
     EXPECT_TRUE(r.halted) << b.name;
@@ -235,12 +234,11 @@ int main() {
 }
 )");
   Simulator sim(prog, XmtConfig::fpga64(), SimMode::kFunctional);
-  auto* plugin = static_cast<RaceCheckPlugin*>(
-      sim.addFilterPlugin(std::make_unique<RaceCheckPlugin>()));
+  auto* plugin = sim.addObserver(std::make_unique<RaceCheckPlugin>());
   sim.run();
   EXPECT_FALSE(plugin->clean());
   EXPECT_NE(plugin->report().find("write/write"), std::string::npos);
-  EXPECT_NE(sim.filterReports().find("race check"), std::string::npos);
+  EXPECT_NE(sim.reports().find("race check"), std::string::npos);
 }
 
 }  // namespace

@@ -782,29 +782,23 @@ TEST(MutationHarness, InjectedViolationsAreCaughtOriginalsStaySilent) {
 // Dynamic bounds oracle: every data-segment access must land inside some
 // symbol's extent. (Frame/stack traffic lives far above the data segment
 // and is out of scope here.)
-class BoundsOracle : public FilterPlugin {
+class BoundsOracle : public SimObserver {
  public:
   explicit BoundsOracle(const Program& prog) {
     for (const auto& [name, sym] : prog.symbols)
       if (!sym.isText && sym.size > 0)
         extents_.emplace_back(sym.addr, sym.addr + sym.size);
-    dataEnd_ = kDataBase;
-    for (const auto& [lo, hi] : extents_) dataEnd_ = std::max(dataEnd_, hi);
   }
-  void onCommit(int, int, const Instruction&, std::uint32_t,
-                std::uint32_t) override {}
   void onMemAccess(const MemAccess& a) override {
     if (a.addr < kDataBase || a.addr >= kDataBase + 0x100000u) return;
     for (const auto& [lo, hi] : extents_)
       if (a.addr >= lo && a.addr + a.size <= hi) return;
     ++violations_;
   }
-  std::string report() const override { return ""; }
   int violations() const { return violations_; }
 
  private:
   std::vector<std::pair<std::uint32_t, std::uint32_t>> extents_;
-  std::uint32_t dataEnd_ = 0;
   int violations_ = 0;
 };
 
@@ -819,8 +813,7 @@ TEST(SoundnessReplay, StaticallySilentProgramsNeverAccessOutsideExtents) {
     if (!ds.empty()) continue;  // only statically-silent programs replay
     Program prog = compileToProgram(src);
     Simulator sim(prog, XmtConfig::fpga64(), SimMode::kFunctional);
-    auto* oracle = static_cast<BoundsOracle*>(
-        sim.addFilterPlugin(std::make_unique<BoundsOracle>(prog)));
+    auto* oracle = sim.addObserver(std::make_unique<BoundsOracle>(prog));
     RunResult r = sim.run();
     EXPECT_TRUE(r.halted) << src;
     EXPECT_EQ(oracle->violations(), 0) << src;
@@ -862,8 +855,7 @@ int main() { spawn(64, 71) { A[$] = 1; } return 0; }
     EXPECT_EQ(staticOob, b.oob) << b.name << " (static)";
     Program prog = compileToProgram(b.source);
     Simulator sim(prog, XmtConfig::fpga64(), SimMode::kFunctional);
-    auto* oracle = static_cast<BoundsOracle*>(
-        sim.addFilterPlugin(std::make_unique<BoundsOracle>(prog)));
+    auto* oracle = sim.addObserver(std::make_unique<BoundsOracle>(prog));
     RunResult r = sim.run();
     EXPECT_TRUE(r.halted) << b.name;
     EXPECT_EQ(oracle->violations() > 0, b.oob) << b.name << " (dynamic)";
