@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "src/assembler/assembler.h"
 #include "src/common/digest.h"
 #include "src/core/toolchain.h"
 #include "src/workloads/kernels.h"
@@ -88,7 +89,62 @@ struct GoldenCase {
   // Deterministic input arrays, applied before the run.
   std::vector<std::pair<std::string, std::vector<std::int32_t>>> inputs;
   const char* expected;
+  bool isAssembly = false;  // `source` is XMT assembly, not XMTC
 };
+
+// Master TCU and read-only-cache paths that the compiled kernels do not
+// reach. Master: swnb then lw of the same word (memory-model rule 1 stall),
+// a blocking sw and an lbu, fence with a store outstanding, psm, and halt
+// with a store outstanding. Spawn: rolw twice on one line (miss, then
+// read-only-cache hit), pref followed later by lw (valid prefetch-buffer
+// hit) and pref immediately followed by lw (hit on a pending entry).
+const char* kMasterPathsAsm = R"(
+.data
+X: .word 5
+Y: .word 0
+Z: .word 0
+P: .word 0
+K: .word 21, 22
+B: .space 256
+S: .word 0
+.global S
+.text
+main:
+  la s0, X
+  li t0, 7
+  swnb t0, 0(s0)
+  lw t1, 0(s0)
+  la s1, Y
+  sw t1, 0(s1)
+  lbu t3, 0(s1)
+  swnb t3, 4(s1)
+  fence
+  li t2, 3
+  psm t2, P
+  li t0, 0
+  mtgr t0, gr6
+  li t0, 15
+  mtgr t0, gr7
+  la s0, K
+  la s1, B
+  spawn Ls, Le
+Ls:
+  pref 0(s1)
+  rolw t2, 0(s0)
+  rolw t3, 4(s0)
+  lw t4, 0(s1)
+  pref 64(s1)
+  lw t5, 64(s1)
+  add t2, t2, t3
+  add t2, t2, t4
+  add t2, t2, t5
+  psm t2, S
+  join
+Le:
+  la s0, Z
+  swnb t2, 0(s0)
+  halt
+)";
 
 std::vector<std::int32_t> ramp(int n, int mul, int add) {
   std::vector<std::int32_t> v(static_cast<std::size_t>(n));
@@ -108,7 +164,10 @@ TEST_P(GoldenStats, MatchesSeedEngine) {
   opts.config = XmtConfig::byName(gc.configName);
   opts.mode = SimMode::kCycleAccurate;
   Toolchain tc(opts);
-  auto sim = tc.makeSimulator(gc.source);
+  auto sim = gc.isAssembly
+                 ? std::make_unique<Simulator>(assemble(gc.source),
+                                               opts.config, opts.mode)
+                 : tc.makeSimulator(gc.source);
   for (const auto& [name, data] : gc.inputs) sim->setGlobalArray(name, data);
   RunResult r = sim->run();
   std::string dump = canonicalStats(r, sim->stats());
@@ -268,6 +327,40 @@ op: 0:384 1:1 13:129 14:256 15:129 16:256 41:1 42:1 44:128 45:1 46:128 51:1 54:2
 fu: 0:899 1:256 2:2 5:258 6:2 7:130
 clusters=64 sum=1536/1152/0/0/256/218 hash=0xe81dcf5743f3ef41
 )gold"});
+    cases.push_back({"serialSum256", "fpga64",
+                     workloads::serialSumSource(256),
+                     {{"A", ramp(256, 3, 1)}},
+                     R"gold(halted=1 code=0
+instructions=2825 spawns=0 vthreads=0
+cycles=4315 simTime=57531895
+cache=0/32 dram=32 master=224/32 ro=0/0 pb=0
+icn=33 memWait=1280 ps=0 psm=0 swnb=1
+op: 0:512 1:256 13:259 14:257 15:513 16:256 36:257 40:257 44:256 46:1 58:1
+fu: 0:1797 1:256 2:514 5:257 7:1
+clusters=8 sum=0/0/0/0/0/0 hash=0x55fdcdeee4c49583
+)gold"});
+    cases.push_back({"serMem64Chip1024", "chip1024",
+                     workloads::serMemSource(64),
+                     {},
+                     R"gold(halted=1 code=0
+instructions=1034 spawns=0 vthreads=0
+cycles=11695 simTime=8993455
+cache=0/64 dram=64 master=0/64 ro=0/0 pb=0
+icn=65 memWait=10691 ps=0 psm=0 swnb=1
+op: 0:192 1:64 3:64 13:196 14:65 15:193 16:64 36:65 40:65 44:64 46:1 58:1
+fu: 0:774 1:64 2:130 5:65 7:1
+clusters=64 sum=0/0/0/0/0/0 hash=0x8aaa84acd8a99383
+)gold"});
+    cases.push_back({"masterPathsAsm", "fpga64", kMasterPathsAsm, {},
+                     R"gold(halted=1 code=0
+instructions=197 spawns=1 vthreads=16
+cycles=291 simTime=3879903
+cache=39/3 dram=3 master=1/1 ro=16/16 pb=32
+icn=70 memWait=1701 ps=0 psm=17 swnb=3
+op: 0:48 13:4 14:5 44:33 45:1 46:3 47:1 49:32 50:32 51:1 53:17 54:2 56:1 57:16 58:1
+fu: 0:57 5:103 6:19 7:18
+clusters=8 sum=176/48/0/0/64/92 hash=0xeadf964a5583dd41
+)gold", true});
     return cases;
   }();
   return kCases;
