@@ -135,6 +135,52 @@ struct Verifier {
     }
   }
 
+  // Forward from `entry` (state: `entryDefs` defined, no swnb
+  // outstanding): must-defined registers (intersection over paths) and
+  // may-outstanding swnb (union over paths), following `succsOf(i, out)`.
+  // Region CFGs never expand calls or spawns, so the call and spawn rules
+  // only matter for master code.
+  template <typename SuccsOf>
+  void forwardDefsAndDirty(int entry, RegMask entryDefs, SuccsOf succsOf,
+                           std::map<int, RegMask>& mustDefIn,
+                           std::map<int, bool>& dirtyIn) const {
+    std::vector<int> work{entry};
+    std::vector<int> succs;
+    mustDefIn[entry] = entryDefs;
+    dirtyIn[entry] = false;
+    while (!work.empty()) {
+      int i = work.back();
+      work.pop_back();
+      const Instruction& in = at(i);
+      RegMask m = mustDefIn[i] | defMask(in);
+      if (isCall(in)) m |= bit(kV0) | bit(kV1) | bit(kRa);
+      bool d = dirtyIn[i];
+      if (drainsStores(in) || in.op == Op::kSpawn) d = false;
+      else if (isNonBlockingStore(in)) d = true;
+      else if (isCall(in)) d = true;  // mirror the compiler: callee may store
+      succsOf(i, succs);
+      for (int t : succs) {
+        bool changed = false;
+        auto it = mustDefIn.find(t);
+        if (it == mustDefIn.end()) {
+          mustDefIn[t] = m;
+          dirtyIn[t] = d;
+          changed = true;
+        } else {
+          if ((it->second & m) != it->second) {
+            it->second &= m;
+            changed = true;
+          }
+          if (d && !dirtyIn[t]) {
+            dirtyIn[t] = true;
+            changed = true;
+          }
+        }
+        if (changed) work.push_back(t);
+      }
+    }
+  }
+
   // --- Per-function master analyses -------------------------------------
 
   struct FuncAnalysis {
@@ -162,44 +208,10 @@ struct Verifier {
       fa.body.assign(seen.begin(), seen.end());
     }
 
-    // Forward: must-defined registers (intersection over paths) and
-    // may-outstanding swnb (union over paths).
-    {
-      std::vector<int> work{entry};
-      fa.mustDefIn[entry] = isProgramEntry ? kMainEntryDefs : kCalleeEntryDefs;
-      fa.dirtyIn[entry] = false;
-      while (!work.empty()) {
-        int i = work.back();
-        work.pop_back();
-        const Instruction& in = at(i);
-        RegMask m = fa.mustDefIn[i] | defMask(in);
-        if (isCall(in)) m |= bit(kV0) | bit(kV1) | bit(kRa);
-        bool d = fa.dirtyIn[i];
-        if (drainsStores(in) || in.op == Op::kSpawn) d = false;
-        else if (isNonBlockingStore(in)) d = true;
-        else if (isCall(in)) d = true;  // mirror the compiler: callee may store
-        masterSuccs(i, succs);
-        for (int t : succs) {
-          bool changed = false;
-          auto it = fa.mustDefIn.find(t);
-          if (it == fa.mustDefIn.end()) {
-            fa.mustDefIn[t] = m;
-            fa.dirtyIn[t] = d;
-            changed = true;
-          } else {
-            if ((it->second & m) != it->second) {
-              it->second &= m;
-              changed = true;
-            }
-            if (d && !fa.dirtyIn[t]) {
-              fa.dirtyIn[t] = true;
-              changed = true;
-            }
-          }
-          if (changed) work.push_back(t);
-        }
-      }
-    }
+    forwardDefsAndDirty(
+        entry, isProgramEntry ? kMainEntryDefs : kCalleeEntryDefs,
+        [this](int i, std::vector<int>& out) { masterSuccs(i, out); },
+        fa.mustDefIn, fa.dirtyIn);
 
     // Backward: liveness. jal's clobber set kills values across calls and
     // its a0..a3 use keeps outgoing arguments alive; jr keeps the v0
@@ -328,42 +340,15 @@ struct Verifier {
     // registers (intersection).
     std::map<int, RegMask> mustDefIn;
     std::map<int, bool> dirtyIn;
-    {
-      std::vector<int> work{s};
-      std::vector<int> succs;
-      mustDefIn[s] = broadcast | bit(kZero) | bit(kTid);
-      dirtyIn[s] = false;
-      while (!work.empty()) {
-        int i = work.back();
-        work.pop_back();
-        const Instruction& in = at(i);
-        RegMask m = mustDefIn[i] | defMask(in);
-        bool d = dirtyIn[i];
-        if (drainsStores(in)) d = false;
-        else if (isNonBlockingStore(in)) d = true;
-        regionSuccs(i, succs);
-        for (int t : succs) {
-          if (t < s || t >= c) continue;  // escape, already reported
-          bool changed = false;
-          auto it = mustDefIn.find(t);
-          if (it == mustDefIn.end()) {
-            mustDefIn[t] = m;
-            dirtyIn[t] = d;
-            changed = true;
-          } else {
-            if ((it->second & m) != it->second) {
-              it->second &= m;
-              changed = true;
-            }
-            if (d && !dirtyIn[t]) {
-              dirtyIn[t] = true;
-              changed = true;
-            }
-          }
-          if (changed) work.push_back(t);
-        }
-      }
-    }
+    forwardDefsAndDirty(
+        s, broadcast | bit(kZero) | bit(kTid),
+        [&](int i, std::vector<int>& out) {
+          regionSuccs(i, out);  // escapes are already reported
+          out.erase(std::remove_if(out.begin(), out.end(),
+                                   [&](int t) { return t < s || t >= c; }),
+                    out.end());
+        },
+        mustDefIn, dirtyIn);
 
     RegMask regionWrites = 0;
     for (int i : body) {

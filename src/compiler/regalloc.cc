@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "src/common/error.h"
+#include "src/compiler/analysis/cfg.h"
+#include "src/compiler/analysis/dataflow.h"
 
 namespace xmt {
 
@@ -25,26 +27,9 @@ struct Interval {
   bool touchesParallel = false;
 };
 
-std::vector<int> blockSuccessors(const IrBlock& b) {
-  if (b.instrs.empty()) return {};
-  const IrInstr& t = b.instrs.back();
-  switch (t.op) {
-    case IOp::kBr:
-    case IOp::kSpawn:
-      return {t.t1, t.t2};
-    case IOp::kJmp:
-      return {t.t1};
-    default:
-      return {};
-  }
-}
-
 void usesOf(const IrInstr& in, std::vector<int>& out) {
   out.clear();
-  if (in.a >= 0) out.push_back(in.a);
-  if (in.b >= 0) out.push_back(in.b);
-  for (int v : in.args) out.push_back(v);
-  if (in.op == IOp::kRet) out.push_back(kV0);
+  analysis::collectUses(in, out);
 }
 
 }  // namespace
@@ -61,35 +46,9 @@ FrameInfo allocateRegisters(IrFunc& fn) {
 
   // --- Liveness (block level) ---
   std::size_t nb = fn.blocks.size();
-  std::vector<std::set<int>> liveIn(nb), liveOut(nb);
-  bool changed = true;
+  const analysis::DataflowResult live =
+      analysis::computeLiveness(fn, analysis::buildCfg(fn)).flow;
   std::vector<int> uses;
-  while (changed) {
-    changed = false;
-    for (std::size_t bi = nb; bi-- > 0;) {
-      const IrBlock& b = fn.blocks[bi];
-      std::set<int> out;
-      for (int s : blockSuccessors(b))
-        if (s >= 0)
-          out.insert(liveIn[static_cast<std::size_t>(s)].begin(),
-                     liveIn[static_cast<std::size_t>(s)].end());
-      std::set<int> in = out;
-      for (std::size_t i = b.instrs.size(); i-- > 0;) {
-        const IrInstr& ins = b.instrs[i];
-        if (ins.dst >= 0) in.erase(ins.dst);
-        usesOf(ins, uses);
-        for (int u : uses) in.insert(u);
-      }
-      if (out != liveOut[bi]) {
-        liveOut[bi] = std::move(out);
-        changed = true;
-      }
-      if (in != liveIn[bi]) {
-        liveIn[bi] = std::move(in);
-        changed = true;
-      }
-    }
-  }
 
   // --- Intervals ---
   std::map<int, Interval> ivals;
@@ -109,8 +68,12 @@ FrameInfo allocateRegisters(IrFunc& fn) {
   std::vector<int> callPositions;
   for (std::size_t bi = 0; bi < nb; ++bi) {
     const IrBlock& b = fn.blocks[bi];
-    for (int v : liveIn[bi]) touch(v, blockStart[bi], b.parallel);
-    for (int v : liveOut[bi]) touch(v, blockEnd[bi], b.parallel);
+    live.in[bi].forEach([&](std::size_t v) {
+      touch(static_cast<int>(v), blockStart[bi], b.parallel);
+    });
+    live.out[bi].forEach([&](std::size_t v) {
+      touch(static_cast<int>(v), blockEnd[bi], b.parallel);
+    });
     int p = blockStart[bi];
     for (const IrInstr& ins : b.instrs) {
       usesOf(ins, uses);

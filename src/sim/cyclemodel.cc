@@ -54,6 +54,56 @@ inline bool isMemWait(WaitKind k) {
          k == WaitKind::kRoFill || k == WaitKind::kFence;
 }
 
+// The earlier of two wake-up times, where -1 means none.
+inline SimTime earliest(SimTime a, SimTime b) {
+  return a < 0 || (b >= 0 && b < a) ? b : a;
+}
+
+enum class Phase : std::uint8_t {
+  kIdle, kRunning, kWaitUntil, kBlocked, kParked,
+  kWaitSpawn,  // master only: the cluster TCUs run the spawn block
+};
+
+// The pipeline state of one in-order TCU. The Master TCU and every cluster
+// TCU are the same TCU with different surroundings (see TcuActor).
+struct TcuState {
+  Context ctx;
+  Phase phase = Phase::kIdle;
+  WaitKind wait = WaitKind::kNone;
+  SimTime readyAt = 0;
+  SimTime waitStart = 0;
+  std::uint8_t waitReg = 0;
+  std::uint64_t waitPkgId = 0;
+  int outstandingStores = 0;
+  // The fence wait ends in the owner's continuation (the cluster's
+  // join -> dispatch, the master's halt), not in a resume.
+  bool drainPending = false;
+  std::multiset<std::uint32_t> storeAddrs;  // word-aligned, in flight
+
+  // XMT memory-model rule 1: same-source same-address operations are never
+  // reordered, so a load must not overtake this TCU's own in-flight
+  // non-blocking store to the same word.
+  bool storeInFlight(std::uint32_t addr) const {
+    return storeAddrs.count(addr & ~3u) != 0;
+  }
+};
+
+// The package a memory instruction sends (the master sends rolw as kLoadWord:
+// it has no read-only cache).
+inline PkgKind pkgKindOf(Op op) {
+  switch (op) {
+    case Op::kLw: return PkgKind::kLoadWord;
+    case Op::kLbu: return PkgKind::kLoadByte;
+    case Op::kRolw: return PkgKind::kReadOnlyLoad;
+    case Op::kPref: return PkgKind::kPrefetch;
+    case Op::kSw: return PkgKind::kStoreWord;
+    case Op::kSb: return PkgKind::kStoreByte;
+    case Op::kSwnb: return PkgKind::kStoreNbWord;
+    case Op::kPsm: return PkgKind::kPsm;
+    default: throw InternalError("memory op without a package");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ReturnPort: the per-destination return tree of the synchronous
 // mesh-of-trees. Replaces the former central IcnActor: each destination
@@ -63,6 +113,7 @@ inline bool isMemWait(WaitKind k) {
 // ---------------------------------------------------------------------------
 
 struct ModelCore;
+class TcuActor;
 
 struct ReturnPort {
   TimedQueue<Package> q;
@@ -96,6 +147,9 @@ struct ModelCore {
 
   std::vector<std::unique_ptr<ClusterActor>> clusters;
   std::unique_ptr<MasterActor> master;
+  // Reply destinations indexed by srcCluster - kMasterCluster: the master,
+  // then cluster 0, 1, ...
+  std::vector<TcuActor*> replyTo;
   std::unique_ptr<CacheActor> caches;
   std::unique_ptr<DramActor> dram;
   std::unique_ptr<PsUnitActor> psUnit;
@@ -128,6 +182,8 @@ struct ModelCore {
   void commit(int cluster, int tcu, const Instruction& in, std::uint32_t pc,
               std::uint32_t addr, SimTime now);
   void tracePkg(const char* stage, const Package& pkg, SimTime now);
+  Package makePkg(PkgKind kind, std::uint32_t addr, std::uint32_t value,
+                  int cluster, int tcu, std::uint8_t destReg, SimTime now);
   void sendPackage(Package pkg, SimTime now);
   void sendResponse(const Package& pkg, SimTime readyAt);
   void deliverResponse(const Package& pkg, SimTime now);
@@ -144,16 +200,193 @@ struct ModelCore {
 };
 
 // ---------------------------------------------------------------------------
+// TcuActor: what the Master TCU and the cluster TCUs share. It receives
+// their replies (return port + inbox) and holds the one TCU pipeline:
+// block/resume, the issue path for fence, psm, stores and load misses, and
+// the ack handler for their replies. MasterActor adds its private cache,
+// local ps, spawn and halt; ClusterActor adds memory slots, the MDU/FPU
+// pools, prefetch buffers, the read-only cache and join -> dispatch.
+// ---------------------------------------------------------------------------
+
+class TcuActor : public TickingActor {
+ public:
+  TcuActor(std::string name, ModelCore& m, int cluster, Scheduler& sched,
+           ClockDomain& clk)
+      : TickingActor(std::move(name), sched, clk), m_(m), cluster_(cluster) {}
+
+  TimedQueue<Package> pkgInbox;
+  ReturnPort retPort;
+
+ protected:
+  /// Hands every reply due by `now` to `onResponse(pkg)` and retires its
+  /// package. Returns the return port's next delivery edge (-1 when empty).
+  template <typename OnResponse>
+  SimTime takeResponses(SimTime now, OnResponse&& onResponse) {
+    SimTime next = retPort.drain(now, m_, pkgInbox);
+    while (pkgInbox.ready(now)) {
+      Package pkg = pkgInbox.pop(now);
+      onResponse(pkg);
+      XMT_CHECK(m_.inFlight > 0);
+      --m_.inFlight;
+    }
+    return next;
+  }
+
+  void commit(int tcu, const Instruction& in, std::uint32_t pc,
+              std::uint32_t addr, SimTime now) {
+    m_.commit(cluster_, tcu, in, pc, addr, now);
+  }
+
+  // Moves past an instruction that needs nothing more, and commits it.
+  void advance(TcuState& t, int tcu, const Instruction& in, std::uint32_t pc,
+               std::uint32_t addr, SimTime now) {
+    t.ctx.pc += 4;
+    commit(tcu, in, pc, addr, now);
+  }
+
+  void stall(TcuState& t, int cycles, SimTime now) {
+    t.phase = Phase::kWaitUntil;
+    t.readyAt = now + cycles * clock().period();
+  }
+
+  void block(TcuState& t, WaitKind k, SimTime now) {
+    t.phase = Phase::kBlocked;
+    t.wait = k;
+    t.waitStart = now;
+  }
+
+  void chargeMemWait(const TcuState& t, SimTime now) {
+    m_.stats.memWaitCycles +=
+        static_cast<std::uint64_t>((now - t.waitStart) / clock().period());
+  }
+
+  void resume(TcuState& t, SimTime now) {
+    if (isMemWait(t.wait)) chargeMemWait(t, now);
+    t.wait = WaitKind::kNone;
+    t.phase = Phase::kRunning;
+  }
+
+  void issueFence(TcuState& t, int tcu, const Instruction& in,
+                  std::uint32_t pc, SimTime now) {
+    advance(t, tcu, in, pc, 0, now);
+    if (t.outstandingStores != 0) block(t, WaitKind::kFence, now);
+  }
+
+  /// join and halt are implicit fences. Returns true when no non-blocking
+  /// store is in flight; otherwise blocks on a fence wait whose end
+  /// ackResponse reports to the owner's continuation.
+  bool drained(TcuState& t, SimTime now) {
+    if (t.outstandingStores == 0) return true;
+    block(t, WaitKind::kFence, now);
+    t.drainPending = true;
+    return false;
+  }
+
+  /// The one issue path for psm, sw/sb, swnb, pref and load misses: sends
+  /// the package, blocks the TCU on its reply (swnb and pref do not wait)
+  /// and commits. Callers make their own checks first. Returns the
+  /// package id.
+  std::uint64_t issueMem(TcuState& t, int tcu, PkgKind kind,
+                         const Instruction& in, std::uint32_t pc,
+                         std::uint32_t addr, SimTime now) {
+    std::uint32_t value = 0;
+    std::uint8_t destReg = in.rt;
+    WaitKind wait = WaitKind::kNone;
+    switch (kind) {
+      case PkgKind::kLoadWord:
+      case PkgKind::kLoadByte:
+        wait = WaitKind::kLoad;
+        break;
+      case PkgKind::kReadOnlyLoad:
+        wait = WaitKind::kRoFill;
+        break;
+      case PkgKind::kPrefetch:
+        destReg = 0;
+        break;
+      case PkgKind::kStoreWord:
+      case PkgKind::kStoreByte:
+        wait = WaitKind::kStoreAck;
+        value = t.ctx.reg(in.rt);
+        destReg = 0;
+        break;
+      case PkgKind::kStoreNbWord:
+        value = t.ctx.reg(in.rt);
+        destReg = 0;
+        ++t.outstandingStores;
+        t.storeAddrs.insert(addr & ~3u);
+        ++m_.stats.nonBlockingStores;
+        break;
+      case PkgKind::kPsm:
+        wait = WaitKind::kPsm;
+        value = t.ctx.reg(in.rt);
+        ++m_.stats.psmRequests;
+        break;
+    }
+    Package p = m_.makePkg(kind, addr, value, cluster_, tcu, destReg, now);
+    m_.sendPackage(p, now);
+    if (wait != WaitKind::kNone) {
+      block(t, wait, now);
+      t.waitPkgId = p.id;  // a read-only fill is matched by package id
+      t.waitReg = in.rt;
+    }
+    advance(t, tcu, in, pc, addr, now);
+    return p.id;
+  }
+
+  /// The one ack handler for load, store, swnb and psm replies. Returns
+  /// true when the reply drained a fence wait that ends in the owner's
+  /// continuation (TcuState::drainPending) rather than in a resume.
+  bool ackResponse(TcuState& t, const Package& pkg, SimTime now) {
+    switch (pkg.kind) {
+      case PkgKind::kLoadWord:
+      case PkgKind::kLoadByte:
+        XMT_CHECK(t.phase == Phase::kBlocked && t.wait == WaitKind::kLoad);
+        t.ctx.setReg(pkg.destReg, pkg.value);
+        break;
+      case PkgKind::kStoreWord:
+      case PkgKind::kStoreByte:
+        XMT_CHECK(t.phase == Phase::kBlocked &&
+                  t.wait == WaitKind::kStoreAck);
+        break;
+      case PkgKind::kPsm:
+        XMT_CHECK(t.phase == Phase::kBlocked && t.wait == WaitKind::kPsm);
+        t.ctx.setReg(pkg.destReg, pkg.value);
+        break;
+      case PkgKind::kStoreNbWord: {
+        XMT_CHECK(t.outstandingStores > 0);
+        --t.outstandingStores;
+        auto it = t.storeAddrs.find(pkg.addr & ~3u);
+        XMT_CHECK(it != t.storeAddrs.end());
+        t.storeAddrs.erase(it);
+        if (t.phase != Phase::kBlocked || t.wait != WaitKind::kFence ||
+            t.outstandingStores != 0)
+          return false;
+        if (t.drainPending) {
+          t.drainPending = false;
+          return true;
+        }
+        break;
+      }
+      default:
+        throw InternalError("unexpected reply kind at a TCU");
+    }
+    resume(t, now);
+    return false;
+  }
+
+  ModelCore& m_;
+  const int cluster_;  // kMasterCluster for the master
+};
+
+// ---------------------------------------------------------------------------
 // ClusterActor: macro-actor over one cluster's TCUs, shared MDU/FPU pools,
 // the read-only cache, and the per-TCU prefetch buffers.
 // ---------------------------------------------------------------------------
 
-class ClusterActor : public TickingActor {
+class ClusterActor : public TcuActor {
  public:
   ClusterActor(ModelCore& m, int id, Scheduler& sched, ClockDomain& clk)
-      : TickingActor("cluster" + std::to_string(id), sched, clk),
-        m_(m),
-        id_(id),
+      : TcuActor("cluster" + std::to_string(id), m, id, sched, clk),
         roCache_(m.cfg.roCacheLines, 1, m.cfg.cacheLineBytes),
         mduBusy_(static_cast<std::size_t>(m.cfg.mduPerCluster), 0),
         fpuBusy_(static_cast<std::size_t>(m.cfg.fpuPerCluster), 0) {
@@ -162,9 +395,7 @@ class ClusterActor : public TickingActor {
       t.pb.resize(static_cast<std::size_t>(m.cfg.prefetchEntries));
   }
 
-  TimedQueue<Package> pkgInbox;
   TimedQueue<PsResp> psInbox;
-  ReturnPort retPort;
 
   /// Spawn onset: broadcast master registers, reset per-section caches,
   /// request virtual-thread IDs for every TCU.
@@ -174,17 +405,8 @@ class ClusterActor : public TickingActor {
       Tcu& t = tcus_[i];
       XMT_CHECK(t.outstandingStores == 0);
       t.ctx.regs = masterCtx.regs;
-      t.phase = Phase::kBlocked;
-      t.wait = WaitKind::kDispatch;
-      t.waitStart = now;
       for (auto& e : t.pb) e = PbEntry{};
-      PsReq req;
-      req.cluster = static_cast<std::int16_t>(id_);
-      req.tcu = static_cast<std::int16_t>(i);
-      req.gr = kGrNextId;
-      req.inc = 1;
-      req.isDispatch = true;
-      m_.sendPsRequest(req, now);
+      requestDispatch(t, static_cast<int>(i), now);
     }
   }
 
@@ -193,11 +415,8 @@ class ClusterActor : public TickingActor {
 
  protected:
   SimTime tick(SimTime now) override {
-    SimTime rpNext = retPort.drain(now, m_, pkgInbox);
-    while (pkgInbox.ready(now)) {
-      Package pkg = pkgInbox.pop(now);
-      handleResponse(pkg, now);
-    }
+    SimTime rpNext =
+        takeResponses(now, [&](const Package& p) { onResponse(p, now); });
     while (psInbox.ready(now)) {
       PsResp r = psInbox.pop(now);
       handlePsResp(r, now);
@@ -215,20 +434,17 @@ class ClusterActor : public TickingActor {
     }
     rr_ = (rr_ + 1) % n;
     if (anyIssued)
-      ++m_.stats.perCluster[static_cast<std::size_t>(id_)].activeCycles;
+      ++m_.stats.perCluster[static_cast<std::size_t>(cluster_)].activeCycles;
 
     // Next wanted time.
-    SimTime next = -1;
-    auto consider = [&](SimTime t) {
-      if (t >= 0 && (next < 0 || t < next)) next = t;
-    };
+    SimTime next = earliest(rpNext, pkgInbox.nextReadyTime());
+    next = earliest(next, psInbox.nextReadyTime());
     for (const Tcu& t : tcus_) {
-      if (t.phase == Phase::kRunning) consider(clock().nextEdge(now));
-      else if (t.phase == Phase::kWaitUntil) consider(t.readyAt);
+      if (t.phase == Phase::kRunning)
+        next = earliest(next, clock().nextEdge(now));
+      else if (t.phase == Phase::kWaitUntil)
+        next = earliest(next, t.readyAt);
     }
-    consider(pkgInbox.nextReadyTime());
-    consider(psInbox.nextReadyTime());
-    consider(rpNext);
     return next;
   }
 
@@ -243,35 +459,19 @@ class ClusterActor : public TickingActor {
     std::uint64_t allocSeq = 0;  // for FIFO replacement
   };
 
-  enum class Phase : std::uint8_t {
-    kIdle, kRunning, kWaitUntil, kBlocked, kParked
-  };
-
-  struct Tcu {
-    Context ctx;
-    Phase phase = Phase::kIdle;
-    WaitKind wait = WaitKind::kNone;
-    SimTime readyAt = 0;
-    SimTime waitStart = 0;
-    std::uint8_t waitReg = 0;
-    std::uint64_t waitPkgId = 0;
-    int outstandingStores = 0;
-    bool joinPending = false;  // join waiting for the implicit store fence
-    std::multiset<std::uint32_t> storeAddrs;  // word-aligned, in flight
+  struct Tcu : TcuState {
     std::vector<PbEntry> pb;
   };
 
   void requestDispatch(Tcu& t, int tcuIdx, SimTime now) {
     PsReq req;
-    req.cluster = static_cast<std::int16_t>(id_);
+    req.cluster = static_cast<std::int16_t>(cluster_);
     req.tcu = static_cast<std::int16_t>(tcuIdx);
     req.gr = kGrNextId;
     req.inc = 1;
     req.isDispatch = true;
     m_.sendPsRequest(req, now);
-    t.phase = Phase::kBlocked;
-    t.wait = WaitKind::kDispatch;
-    t.waitStart = now;
+    block(t, WaitKind::kDispatch, now);
   }
 
   PbEntry* findPb(Tcu& t, std::uint32_t addr) {
@@ -299,30 +499,6 @@ class ClusterActor : public TickingActor {
     return victim;
   }
 
-  void resume(Tcu& t, SimTime now) {
-    if (isMemWait(t.wait)) {
-      SimTime waited = now - t.waitStart;
-      m_.stats.memWaitCycles +=
-          static_cast<std::uint64_t>(waited / clock().period());
-    }
-    t.wait = WaitKind::kNone;
-    t.phase = Phase::kRunning;
-  }
-
-  Package makePkg(PkgKind kind, std::uint32_t addr, std::uint32_t value,
-                  int tcuIdx, std::uint8_t destReg, SimTime now) {
-    Package p;
-    p.kind = kind;
-    p.addr = addr;
-    p.value = value;
-    p.srcCluster = static_cast<std::int16_t>(id_);
-    p.srcTcu = static_cast<std::int16_t>(tcuIdx);
-    p.destReg = destReg;
-    p.id = ++m_.pkgSeq;
-    p.issueTime = now;
-    return p;
-  }
-
   // Issues one instruction for TCU `t`. Returns false on a structural
   // stall (retry next cycle, no architectural effect).
   bool issueOne(Tcu& t, int tcuIdx, SimTime now, int& memSlots) {
@@ -333,7 +509,7 @@ class ClusterActor : public TickingActor {
           "(pc=0x" + std::to_string(pc) +
           "); mislaid basic block? (cf. paper Fig. 9)");
     const Instruction& in = m_.fm.fetch(pc);
-    auto& act = m_.stats.perCluster[static_cast<std::size_t>(id_)];
+    auto& act = m_.stats.perCluster[static_cast<std::size_t>(cluster_)];
 
     switch (FuncModel::classify(in)) {
       case FuncModel::StepClass::kSimple: {
@@ -348,50 +524,30 @@ class ClusterActor : public TickingActor {
           if (unit == busy.size()) return false;  // all shared units busy
           busy[unit] = now + clock().period();    // pipelined: 1-cycle issue
           m_.fm.execSimple(t.ctx, in);
-          t.phase = Phase::kWaitUntil;
-          t.readyAt = now + lat * clock().period();
+          stall(t, lat, now);
           if (fu == FuKind::kMdu) ++act.mduOps; else ++act.fpuOps;
         } else {
           m_.fm.execSimple(t.ctx, in);
           ++act.aluOps;
         }
-        m_.commit(id_, tcuIdx, in, pc, 0, now);
+        commit(tcuIdx, in, pc, 0, now);
         return true;
       }
 
       case FuncModel::StepClass::kMemory:
+      case FuncModel::StepClass::kPsm:
         return issueMemory(t, tcuIdx, in, pc, now, memSlots);
 
       case FuncModel::StepClass::kPs: {
         PsReq req;
-        req.cluster = static_cast<std::int16_t>(id_);
+        req.cluster = static_cast<std::int16_t>(cluster_);
         req.tcu = static_cast<std::int16_t>(tcuIdx);
         req.destReg = in.rd;
         req.gr = in.rt;
         req.inc = t.ctx.reg(in.rd);
         m_.sendPsRequest(req, now);
-        t.ctx.pc += 4;
-        t.phase = Phase::kBlocked;
-        t.wait = WaitKind::kPs;
-        t.waitStart = now;
-        m_.commit(id_, tcuIdx, in, pc, 0, now);
-        return true;
-      }
-
-      case FuncModel::StepClass::kPsm: {
-        if (memSlots == 0) return false;
-        --memSlots;
-        std::uint32_t addr = m_.fm.effectiveAddr(t.ctx, in);
-        Package p = makePkg(PkgKind::kPsm, addr, t.ctx.reg(in.rt), tcuIdx,
-                            in.rt, now);
-        m_.sendPackage(p, now);
-        ++m_.stats.psmRequests;
-        t.ctx.pc += 4;
-        t.phase = Phase::kBlocked;
-        t.wait = WaitKind::kPsm;
-        t.waitStart = now;
-        ++act.memOps;
-        m_.commit(id_, tcuIdx, in, pc, addr, now);
+        block(t, WaitKind::kPs, now);
+        advance(t, tcuIdx, in, pc, 0, now);
         return true;
       }
 
@@ -400,23 +556,15 @@ class ClusterActor : public TickingActor {
             "nested spawn reached the spawn hardware (the compiler must "
             "serialize nested spawns)");
 
-      case FuncModel::StepClass::kJoin: {
+      case FuncModel::StepClass::kJoin:
         // Virtual thread complete. The end of a virtual thread orders
         // memory operations (XMT memory model), so join is an implicit
         // fence: outstanding non-blocking stores drain before the TCU's
         // dispatch hardware performs the ps + chkid sequence for the next
         // thread ID.
-        m_.commit(id_, tcuIdx, in, pc, 0, now);
-        if (t.outstandingStores != 0) {
-          t.phase = Phase::kBlocked;
-          t.wait = WaitKind::kFence;
-          t.waitStart = now;
-          t.joinPending = true;
-          return true;
-        }
-        requestDispatch(t, tcuIdx, now);
+        commit(tcuIdx, in, pc, 0, now);
+        if (drained(t, now)) requestDispatch(t, tcuIdx, now);
         return true;
-      }
 
       case FuncModel::StepClass::kHalt:
         throw SimError("halt executed inside a spawn block");
@@ -424,56 +572,37 @@ class ClusterActor : public TickingActor {
     return false;
   }
 
+  // The cluster's own checks in front of the shared issue path: local hits
+  // in the prefetch buffer and read-only cache, the rule-1 store stall, and
+  // the per-cycle memory slots.
   bool issueMemory(Tcu& t, int tcuIdx, const Instruction& in,
                    std::uint32_t pc, SimTime now, int& memSlots) {
-    auto& act = m_.stats.perCluster[static_cast<std::size_t>(id_)];
     std::uint32_t addr = m_.fm.effectiveAddr(t.ctx, in);
     switch (in.op) {
       case Op::kFence:
-        t.ctx.pc += 4;
-        m_.commit(id_, tcuIdx, in, pc, 0, now);
-        if (t.outstandingStores != 0) {
-          t.phase = Phase::kBlocked;
-          t.wait = WaitKind::kFence;
-          t.waitStart = now;
-        }
+        issueFence(t, tcuIdx, in, pc, now);
         return true;
 
-      case Op::kPref: {
-        if (t.pb.empty() || findPb(t, addr) != nullptr) {
-          t.ctx.pc += 4;
-          m_.commit(id_, tcuIdx, in, pc, addr, now);
-          return true;
+      case Op::kPref:
+        if (!t.pb.empty() && findPb(t, addr) == nullptr) {
+          if (memSlots == 0) return false;
+          if (PbEntry* e = allocPb(t)) {
+            *e = PbEntry{};
+            e->addr = addr;
+            e->pending = true;
+            e->allocSeq = ++pbSeq_;
+            e->lastUse = pbSeq_;
+            e->pkgId = sendMem(t, tcuIdx, in, pc, addr, now, memSlots);
+            return true;
+          }
         }
-        if (memSlots == 0) return false;
-        PbEntry* e = allocPb(t);
-        if (e == nullptr) {  // every entry pending: drop the prefetch
-          t.ctx.pc += 4;
-          m_.commit(id_, tcuIdx, in, pc, addr, now);
-          return true;
-        }
-        --memSlots;
-        Package p = makePkg(PkgKind::kPrefetch, addr, 0, tcuIdx, 0, now);
-        *e = PbEntry{};
-        e->addr = addr;
-        e->pending = true;
-        e->pkgId = p.id;
-        e->allocSeq = ++pbSeq_;
-        e->lastUse = pbSeq_;
-        m_.sendPackage(p, now);
-        t.ctx.pc += 4;
-        ++act.memOps;
-        m_.commit(id_, tcuIdx, in, pc, addr, now);
+        // Already buffered, no buffer, or every entry pending: no-op.
+        advance(t, tcuIdx, in, pc, addr, now);
         return true;
-      }
 
       case Op::kLw:
-      case Op::kLbu: {
-        // XMT memory-model rule 1: same-source same-address operations are
-        // never reordered. A load that would overtake this TCU's own
-        // in-flight non-blocking store to the same word stalls here.
-        std::uint32_t key = addr & ~3u;
-        if (t.storeAddrs.count(key) != 0) return false;
+      case Op::kLbu:
+        if (t.storeInFlight(addr)) return false;
         if (in.op == Op::kLw) {
           PbEntry* e = findPb(t, addr);
           if (e != nullptr && e->valid) {
@@ -481,141 +610,50 @@ class ClusterActor : public TickingActor {
             e->valid = false;  // consume on use
             e->addr = 0;
             ++m_.stats.prefetchBufferHits;
-            t.ctx.pc += 4;
-            m_.commit(id_, tcuIdx, in, pc, addr, now);
+            advance(t, tcuIdx, in, pc, addr, now);
             return true;
           }
           if (e != nullptr && e->pending) {
-            t.ctx.pc += 4;
-            t.phase = Phase::kBlocked;
-            t.wait = WaitKind::kPbFill;
+            block(t, WaitKind::kPbFill, now);
             t.waitPkgId = e->pkgId;
             t.waitReg = in.rt;
-            t.waitStart = now;
-            m_.commit(id_, tcuIdx, in, pc, addr, now);
+            advance(t, tcuIdx, in, pc, addr, now);
             return true;
           }
         }
-        if (memSlots == 0) return false;
-        --memSlots;
-        Package p = makePkg(
-            in.op == Op::kLw ? PkgKind::kLoadWord : PkgKind::kLoadByte, addr,
-            0, tcuIdx, in.rt, now);
-        m_.sendPackage(p, now);
-        t.ctx.pc += 4;
-        t.phase = Phase::kBlocked;
-        t.wait = WaitKind::kLoad;
-        t.waitStart = now;
-        ++act.memOps;
-        m_.commit(id_, tcuIdx, in, pc, addr, now);
-        return true;
-      }
+        break;
 
-      case Op::kRolw: {
+      case Op::kRolw:
         if (roCache_.contains(addr)) {
           roCache_.lookup(addr);  // count the hit, touch LRU
           t.ctx.setReg(in.rt, m_.fm.memory().readWord(addr));
-          t.ctx.pc += 4;
-          t.phase = Phase::kWaitUntil;
-          t.readyAt = now + 2 * clock().period();
-          m_.commit(id_, tcuIdx, in, pc, addr, now);
+          stall(t, 2, now);
+          advance(t, tcuIdx, in, pc, addr, now);
           return true;
         }
-        if (memSlots == 0) return false;  // retry without a counted miss
-        roCache_.lookup(addr);            // count the miss
-        --memSlots;
-        Package p =
-            makePkg(PkgKind::kReadOnlyLoad, addr, 0, tcuIdx, in.rt, now);
-        m_.sendPackage(p, now);
-        t.ctx.pc += 4;
-        t.phase = Phase::kBlocked;
-        t.wait = WaitKind::kRoFill;
-        t.waitPkgId = p.id;
-        t.waitReg = in.rt;
-        t.waitStart = now;
-        ++act.memOps;
-        m_.commit(id_, tcuIdx, in, pc, addr, now);
-        return true;
-      }
-
-      case Op::kSw:
-      case Op::kSb: {
-        if (memSlots == 0) return false;
-        --memSlots;
-        Package p = makePkg(
-            in.op == Op::kSw ? PkgKind::kStoreWord : PkgKind::kStoreByte,
-            addr, t.ctx.reg(in.rt), tcuIdx, 0, now);
-        m_.sendPackage(p, now);
-        t.ctx.pc += 4;
-        t.phase = Phase::kBlocked;
-        t.wait = WaitKind::kStoreAck;
-        t.waitStart = now;
-        ++act.memOps;
-        m_.commit(id_, tcuIdx, in, pc, addr, now);
-        return true;
-      }
-
-      case Op::kSwnb: {
-        if (memSlots == 0) return false;
-        --memSlots;
-        Package p = makePkg(PkgKind::kStoreNbWord, addr, t.ctx.reg(in.rt),
-                            tcuIdx, 0, now);
-        ++t.outstandingStores;
-        t.storeAddrs.insert(addr & ~3u);
-        ++m_.stats.nonBlockingStores;
-        m_.sendPackage(p, now);
-        t.ctx.pc += 4;
-        ++act.memOps;
-        m_.commit(id_, tcuIdx, in, pc, addr, now);
-        return true;
-      }
+        break;
 
       default:
-        throw InternalError("unhandled memory op in cluster issue");
+        break;
     }
+    if (memSlots == 0) return false;  // a rolw retries without a counted miss
+    if (in.op == Op::kRolw) roCache_.lookup(addr);  // count the miss
+    sendMem(t, tcuIdx, in, pc, addr, now, memSlots);
+    return true;
   }
 
-  void handleResponse(const Package& pkg, SimTime now) {
+  std::uint64_t sendMem(Tcu& t, int tcuIdx, const Instruction& in,
+                        std::uint32_t pc, std::uint32_t addr, SimTime now,
+                        int& memSlots) {
+    --memSlots;
+    ++m_.stats.perCluster[static_cast<std::size_t>(cluster_)].memOps;
+    return issueMem(t, tcuIdx, pkgKindOf(in.op), in, pc, addr, now);
+  }
+
+  void onResponse(const Package& pkg, SimTime now) {
     Tcu& t = tcus_[static_cast<std::size_t>(pkg.srcTcu)];
     switch (pkg.kind) {
-      case PkgKind::kLoadWord:
-      case PkgKind::kLoadByte:
-        XMT_CHECK(t.phase == Phase::kBlocked && t.wait == WaitKind::kLoad);
-        t.ctx.setReg(pkg.destReg, pkg.value);
-        resume(t, now);
-        break;
-      case PkgKind::kStoreWord:
-      case PkgKind::kStoreByte:
-        XMT_CHECK(t.phase == Phase::kBlocked &&
-                  t.wait == WaitKind::kStoreAck);
-        resume(t, now);
-        break;
-      case PkgKind::kStoreNbWord: {
-        XMT_CHECK(t.outstandingStores > 0);
-        --t.outstandingStores;
-        auto it = t.storeAddrs.find(pkg.addr & ~3u);
-        XMT_CHECK(it != t.storeAddrs.end());
-        t.storeAddrs.erase(it);
-        if (t.phase == Phase::kBlocked && t.wait == WaitKind::kFence &&
-            t.outstandingStores == 0) {
-          if (t.joinPending) {
-            t.joinPending = false;
-            SimTime waited = now - t.waitStart;
-            m_.stats.memWaitCycles +=
-                static_cast<std::uint64_t>(waited / clock().period());
-            requestDispatch(t, static_cast<int>(pkg.srcTcu), now);
-          } else {
-            resume(t, now);
-          }
-        }
-        break;
-      }
-      case PkgKind::kPsm:
-        XMT_CHECK(t.phase == Phase::kBlocked && t.wait == WaitKind::kPsm);
-        t.ctx.setReg(pkg.destReg, pkg.value);
-        resume(t, now);
-        break;
-      case PkgKind::kPrefetch: {
+      case PkgKind::kPrefetch:
         for (auto& e : t.pb) {
           if (e.pending && e.pkgId == pkg.id) {
             e.pending = false;
@@ -638,8 +676,7 @@ class ClusterActor : public TickingActor {
           ++m_.stats.prefetchBufferHits;
           resume(t, now);
         }
-        break;
-      }
+        return;
       case PkgKind::kReadOnlyLoad:
         roCache_.install(pkg.addr);
         if (t.phase == Phase::kBlocked && t.wait == WaitKind::kRoFill &&
@@ -647,10 +684,15 @@ class ClusterActor : public TickingActor {
           t.ctx.setReg(t.waitReg, pkg.value);
           resume(t, now);
         }
-        break;
+        return;
+      default:
+        if (ackResponse(t, pkg, now)) {
+          // The join's store drain counts as memory wait; the master's
+          // halt drain does not (DESIGN.md §3).
+          chargeMemWait(t, now);
+          requestDispatch(t, static_cast<int>(pkg.srcTcu), now);
+        }
     }
-    XMT_CHECK(m_.inFlight > 0);
-    --m_.inFlight;
   }
 
   void handlePsResp(const PsResp& r, SimTime now) {
@@ -663,8 +705,7 @@ class ClusterActor : public TickingActor {
       if (!r.park) {
         t.ctx.setReg(kTid, r.value);
         t.ctx.pc = m_.spawnStart;
-        t.phase = Phase::kRunning;
-        t.wait = WaitKind::kNone;
+        resume(t, now);  // a dispatch wait is not memory wait
         ++m_.stats.virtualThreads;
       } else {
         // The all-parked join condition is detected at the PS unit
@@ -679,8 +720,6 @@ class ClusterActor : public TickingActor {
     }
   }
 
-  ModelCore& m_;
-  int id_;
   std::vector<Tcu> tcus_;
   TagCache roCache_;
   std::vector<SimTime> mduBusy_;
@@ -694,52 +733,44 @@ class ClusterActor : public TickingActor {
 // and dedicated functional units.
 // ---------------------------------------------------------------------------
 
-class MasterActor : public TickingActor {
+class MasterActor : public TcuActor {
  public:
   MasterActor(ModelCore& m, Scheduler& sched, ClockDomain& clk)
-      : TickingActor("master", sched, clk),
-        m_(m),
+      : TcuActor("master", m, kMasterCluster, sched, clk),
         cache_(m.cfg.masterCacheKB * 1024 / m.cfg.cacheLineBytes,
-               m.cfg.cacheAssoc, m.cfg.cacheLineBytes) {}
+               m.cfg.cacheAssoc, m.cfg.cacheLineBytes) {
+    tcu.phase = Phase::kRunning;
+  }
 
-  TimedQueue<Package> pkgInbox;
-  ReturnPort retPort;
-
-  Context ctx;
+  TcuState tcu;
 
   void start() {
     if (!m_.masterRestored) {
-      ctx.pc = m_.fm.program().entry;
-      ctx.setReg(kSp, kStackTop);
+      tcu.ctx.pc = m_.fm.program().entry;
+      tcu.ctx.setReg(kSp, kStackTop);
     }
-    phase_ = Phase::kRunning;
+    tcu.phase = Phase::kRunning;
     wakeAt(scheduler().now() + 1);
   }
 
   void resumeFromSpawn(SimTime now) {
-    XMT_CHECK(phase_ == Phase::kWaitSpawn);
-    ctx.pc = m_.spawnEnd;
+    XMT_CHECK(tcu.phase == Phase::kWaitSpawn);
+    tcu.ctx.pc = m_.spawnEnd;
     cache_.invalidateAll();  // TCUs may have written anywhere
-    phase_ = Phase::kWaitUntil;
-    readyAt_ = now + clock().period();
-    wakeAt(readyAt_);
+    stall(tcu, 1, now);
+    wakeAt(tcu.readyAt);
   }
 
-  bool runnable() const { return phase_ == Phase::kRunning; }
-  int outstandingStores() const { return outstandingStores_; }
   std::uint64_t cacheHits() const { return cache_.hits; }
   std::uint64_t cacheMisses() const { return cache_.misses; }
 
  protected:
   SimTime tick(SimTime now) override {
-    SimTime rpNext = retPort.drain(now, m_, pkgInbox);
-    while (pkgInbox.ready(now)) {
-      Package pkg = pkgInbox.pop(now);
-      handleResponse(pkg, now);
-    }
-    if (phase_ == Phase::kWaitUntil && now >= readyAt_)
-      phase_ = Phase::kRunning;
-    if (phase_ == Phase::kRunning && !m_.halted) {
+    SimTime rpNext =
+        takeResponses(now, [&](const Package& p) { onResponse(p, now); });
+    if (tcu.phase == Phase::kWaitUntil && now >= tcu.readyAt)
+      tcu.phase = Phase::kRunning;
+    if (tcu.phase == Phase::kRunning && !m_.halted) {
       if (m_.checkpointRequested && !m_.checkpointTaken && m_.quiescent() &&
           clock().cyclesAt(now) >=
               static_cast<std::int64_t>(m_.checkpointMinCycles)) {
@@ -750,95 +781,40 @@ class MasterActor : public TickingActor {
       issue(now);
     }
     if (m_.halted) return -1;
-    auto minPos = [](SimTime a, SimTime b) {
-      if (a < 0) return b;
-      if (b < 0) return a;
-      return a < b ? a : b;
-    };
-    switch (phase_) {
-      case Phase::kRunning:
-        return clock().nextEdge(now);
-      case Phase::kWaitUntil:
-        return minPos(readyAt_, rpNext);
-      default:
-        return minPos(pkgInbox.nextReadyTime(), rpNext);
-    }
+    if (tcu.phase == Phase::kRunning) return clock().nextEdge(now);
+    return earliest(tcu.phase == Phase::kWaitUntil ? tcu.readyAt
+                                                   : pkgInbox.nextReadyTime(),
+                    rpNext);
   }
 
  private:
-  enum class Phase : std::uint8_t {
-    kRunning, kWaitUntil, kBlocked, kWaitSpawn
-  };
-
-  Package makePkg(PkgKind kind, std::uint32_t addr, std::uint32_t value,
-                  std::uint8_t destReg, SimTime now) {
-    Package p;
-    p.kind = kind;
-    p.addr = addr;
-    p.value = value;
-    p.srcCluster = kMasterCluster;
-    p.srcTcu = 0;
-    p.destReg = destReg;
-    p.id = ++m_.pkgSeq;
-    p.issueTime = now;
-    return p;
-  }
-
-  void block(WaitKind k, SimTime now) {
-    phase_ = Phase::kBlocked;
-    wait_ = k;
-    waitStart_ = now;
-  }
-
-  void resume(SimTime now) {
-    if (isMemWait(wait_))
-      m_.stats.memWaitCycles +=
-          static_cast<std::uint64_t>((now - waitStart_) / clock().period());
-    wait_ = WaitKind::kNone;
-    phase_ = Phase::kRunning;
-  }
-
   void issue(SimTime now) {
-    const std::uint32_t pc = ctx.pc;
+    const std::uint32_t pc = tcu.ctx.pc;
     const Instruction& in = m_.fm.fetch(pc);
     switch (FuncModel::classify(in)) {
       case FuncModel::StepClass::kSimple: {
         FuKind fu = opInfo(in.op).fu;
-        m_.fm.execSimple(ctx, in);
-        if (fu == FuKind::kMdu) {
-          phase_ = Phase::kWaitUntil;
-          readyAt_ = now + m_.cfg.mduLatency * clock().period();
-        } else if (fu == FuKind::kFpu) {
-          phase_ = Phase::kWaitUntil;
-          readyAt_ = now + m_.cfg.fpuLatency * clock().period();
-        }
-        m_.commit(kMasterCluster, 0, in, pc, 0, now);
+        m_.fm.execSimple(tcu.ctx, in);
+        if (fu == FuKind::kMdu)
+          stall(tcu, m_.cfg.mduLatency, now);
+        else if (fu == FuKind::kFpu)
+          stall(tcu, m_.cfg.fpuLatency, now);
+        commit(0, in, pc, 0, now);
         return;
       }
       case FuncModel::StepClass::kPs: {
         // The master sits next to the global register file / PS unit.
-        std::uint32_t old = m_.fm.psFetchAdd(in.rt, ctx.reg(in.rd));
-        ctx.setReg(in.rd, old);
+        std::uint32_t old = m_.fm.psFetchAdd(in.rt, tcu.ctx.reg(in.rd));
+        tcu.ctx.setReg(in.rd, old);
         ++m_.stats.psRequests;
-        ctx.pc += 4;
-        phase_ = Phase::kWaitUntil;
-        readyAt_ = now + 2 * clock().period();
-        m_.commit(kMasterCluster, 0, in, pc, 0, now);
+        stall(tcu, 2, now);
+        advance(tcu, 0, in, pc, 0, now);
         return;
       }
       case FuncModel::StepClass::kMemory:
+      case FuncModel::StepClass::kPsm:
         issueMemory(in, pc, now);
         return;
-      case FuncModel::StepClass::kPsm: {
-        std::uint32_t addr = m_.fm.effectiveAddr(ctx, in);
-        Package p = makePkg(PkgKind::kPsm, addr, ctx.reg(in.rt), in.rt, now);
-        m_.sendPackage(p, now);
-        ++m_.stats.psmRequests;
-        ctx.pc += 4;
-        block(WaitKind::kPsm, now);
-        m_.commit(kMasterCluster, 0, in, pc, addr, now);
-        return;
-      }
       case FuncModel::StepClass::kSpawn: {
         ++m_.stats.spawns;
         m_.spawnActive = true;
@@ -852,9 +828,9 @@ class MasterActor : public TickingActor {
             (blockInstrs + static_cast<std::uint32_t>(
                                m_.cfg.broadcastInstrPerCycle) - 1) /
                 static_cast<std::uint32_t>(m_.cfg.broadcastInstrPerCycle);
-        phase_ = Phase::kWaitSpawn;
+        tcu.phase = Phase::kWaitSpawn;
         m_.scheduleSpawnStart(now + bcastCycles * clock().period());
-        m_.commit(kMasterCluster, 0, in, pc, 0, now);
+        commit(0, in, pc, 0, now);
         return;
       }
       case FuncModel::StepClass::kJoin:
@@ -862,134 +838,54 @@ class MasterActor : public TickingActor {
       case FuncModel::StepClass::kHalt:
         // Halt implies a fence: outstanding non-blocking stores must reach
         // memory before the final memory dump.
-        m_.commit(kMasterCluster, 0, in, pc, 0, now);
-        if (outstandingStores_ != 0) {
-          haltPending_ = true;
-          block(WaitKind::kFence, now);
-          return;
-        }
-        m_.doHalt(static_cast<std::int32_t>(ctx.reg(kV0)));
+        commit(0, in, pc, 0, now);
+        if (drained(tcu, now))
+          m_.doHalt(static_cast<std::int32_t>(tcu.ctx.reg(kV0)));
         return;
     }
   }
 
+  // The master's own checks in front of the shared issue path: the rule-1
+  // store stall and private-cache hits.
   void issueMemory(const Instruction& in, std::uint32_t pc, SimTime now) {
-    std::uint32_t addr = m_.fm.effectiveAddr(ctx, in);
+    std::uint32_t addr = m_.fm.effectiveAddr(tcu.ctx, in);
+    PkgKind kind = PkgKind::kLoadWord;
     switch (in.op) {
       case Op::kFence:
-        ctx.pc += 4;
-        m_.commit(kMasterCluster, 0, in, pc, 0, now);
-        if (outstandingStores_ != 0) block(WaitKind::kFence, now);
+        issueFence(tcu, 0, in, pc, now);
         return;
       case Op::kPref:  // the master has no prefetch buffer
-        ctx.pc += 4;
-        m_.commit(kMasterCluster, 0, in, pc, addr, now);
+        advance(tcu, 0, in, pc, addr, now);
         return;
       case Op::kLw:
       case Op::kLbu:
-      case Op::kRolw: {
-        std::uint32_t key = addr & ~3u;
-        if (storeAddrs_.count(key) != 0) return;  // retry after drain
+      case Op::kRolw:  // no read-only cache: a rolw is an lw
+        if (tcu.storeInFlight(addr)) return;  // retry after drain
         if (cache_.lookup(addr)) {
-          std::uint32_t v = (in.op == Op::kLbu)
-                                ? m_.fm.memory().readByte(addr)
-                                : m_.fm.memory().readWord(addr);
-          ctx.setReg(in.rt, v);
-          ctx.pc += 4;
-          phase_ = Phase::kWaitUntil;
-          readyAt_ = now + 2 * clock().period();
-          m_.commit(kMasterCluster, 0, in, pc, addr, now);
+          tcu.ctx.setReg(in.rt, in.op == Op::kLbu
+                                    ? m_.fm.memory().readByte(addr)
+                                    : m_.fm.memory().readWord(addr));
+          stall(tcu, 2, now);
+          advance(tcu, 0, in, pc, addr, now);
           return;
         }
-        Package p = makePkg(in.op == Op::kLbu ? PkgKind::kLoadByte
-                                              : PkgKind::kLoadWord,
-                            addr, 0, in.rt, now);
-        m_.sendPackage(p, now);
-        ctx.pc += 4;
-        block(WaitKind::kLoad, now);
-        m_.commit(kMasterCluster, 0, in, pc, addr, now);
-        return;
-      }
-      case Op::kSw:
-      case Op::kSb: {
-        Package p = makePkg(
-            in.op == Op::kSw ? PkgKind::kStoreWord : PkgKind::kStoreByte,
-            addr, ctx.reg(in.rt), 0, now);
-        m_.sendPackage(p, now);
-        ctx.pc += 4;
-        block(WaitKind::kStoreAck, now);
-        m_.commit(kMasterCluster, 0, in, pc, addr, now);
-        return;
-      }
-      case Op::kSwnb: {
-        Package p =
-            makePkg(PkgKind::kStoreNbWord, addr, ctx.reg(in.rt), 0, now);
-        ++outstandingStores_;
-        storeAddrs_.insert(addr & ~3u);
-        ++m_.stats.nonBlockingStores;
-        m_.sendPackage(p, now);
-        ctx.pc += 4;
-        m_.commit(kMasterCluster, 0, in, pc, addr, now);
-        return;
-      }
-      default:
-        throw InternalError("unhandled master memory op");
-    }
-  }
-
-  void handleResponse(const Package& pkg, SimTime now) {
-    switch (pkg.kind) {
-      case PkgKind::kLoadWord:
-      case PkgKind::kLoadByte:
-        XMT_CHECK(phase_ == Phase::kBlocked && wait_ == WaitKind::kLoad);
-        cache_.install(pkg.addr);
-        ctx.setReg(pkg.destReg, pkg.value);
-        resume(now);
-        break;
-      case PkgKind::kStoreWord:
-      case PkgKind::kStoreByte:
-        XMT_CHECK(phase_ == Phase::kBlocked &&
-                  wait_ == WaitKind::kStoreAck);
-        resume(now);
-        break;
-      case PkgKind::kStoreNbWord: {
-        XMT_CHECK(outstandingStores_ > 0);
-        --outstandingStores_;
-        auto it = storeAddrs_.find(pkg.addr & ~3u);
-        XMT_CHECK(it != storeAddrs_.end());
-        storeAddrs_.erase(it);
-        if (phase_ == Phase::kBlocked && wait_ == WaitKind::kFence &&
-            outstandingStores_ == 0) {
-          if (haltPending_) {
-            haltPending_ = false;
-            m_.doHalt(static_cast<std::int32_t>(ctx.reg(kV0)));
-          } else {
-            resume(now);
-          }
-        }
-        break;
-      }
-      case PkgKind::kPsm:
-        XMT_CHECK(phase_ == Phase::kBlocked && wait_ == WaitKind::kPsm);
-        ctx.setReg(pkg.destReg, pkg.value);
-        resume(now);
+        if (in.op == Op::kLbu) kind = PkgKind::kLoadByte;
         break;
       default:
-        throw InternalError("unexpected response kind at master");
+        kind = pkgKindOf(in.op);
     }
-    XMT_CHECK(m_.inFlight > 0);
-    --m_.inFlight;
+    issueMem(tcu, 0, kind, in, pc, addr, now);
   }
 
-  ModelCore& m_;
+  void onResponse(const Package& pkg, SimTime now) {
+    if (pkg.kind == PkgKind::kLoadWord || pkg.kind == PkgKind::kLoadByte)
+      cache_.install(pkg.addr);
+    // The halt's store drain is not charged as memory wait (DESIGN.md §3).
+    if (ackResponse(tcu, pkg, now))
+      m_.doHalt(static_cast<std::int32_t>(tcu.ctx.reg(kV0)));
+  }
+
   TagCache cache_;
-  Phase phase_ = Phase::kRunning;
-  WaitKind wait_ = WaitKind::kNone;
-  SimTime readyAt_ = 0;
-  SimTime waitStart_ = 0;
-  int outstandingStores_ = 0;
-  bool haltPending_ = false;
-  std::multiset<std::uint32_t> storeAddrs_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1097,9 +993,6 @@ class CacheActor : public TickingActor {
       mod.mshr.erase(it);
     }
     SimTime next = -1;
-    auto consider = [&](SimTime t) {
-      if (t >= 0 && (next < 0 || t < next)) next = t;
-    };
     for (std::size_t mi = 0; mi < mods_.size(); ++mi) {
       Module& mod = *mods_[mi];
       if (mod.inq.ready(now)) {
@@ -1107,11 +1000,11 @@ class CacheActor : public TickingActor {
         process(mod, static_cast<int>(mi), pkg, now);
       }
       if (mod.inq.ready(now))
-        consider(clock().nextEdge(now));
+        next = earliest(next, clock().nextEdge(now));
       else
-        consider(mod.inq.nextReadyTime());
+        next = earliest(next, mod.inq.nextReadyTime());
     }
-    consider(fillq_.nextReadyTime());
+    next = earliest(next, fillq_.nextReadyTime());
     return next;
   }
 
@@ -1204,9 +1097,6 @@ class DramActor : public TickingActor {
  protected:
   SimTime tick(SimTime now) override {
     SimTime next = -1;
-    auto consider = [&](SimTime t) {
-      if (t >= 0 && (next < 0 || t < next)) next = t;
-    };
     for (std::size_t ch = 0; ch < chq_.size(); ++ch) {
       if (chq_[ch].ready(now) && now >= busyUntil_[ch]) {
         Req r = chq_[ch].pop(now);
@@ -1218,7 +1108,7 @@ class DramActor : public TickingActor {
       if (!chq_[ch].empty()) {
         SimTime t = chq_[ch].nextReadyTime();
         if (t < busyUntil_[ch]) t = busyUntil_[ch];
-        consider(t);
+        next = earliest(next, t);
       }
     }
     return next;
@@ -1244,7 +1134,7 @@ class SpawnStarter : public Actor {
   explicit SpawnStarter(ModelCore& m) : Actor("spawnstarter"), m_(m) {}
   void notify(SimTime now) override {
     for (auto& c : m_.clusters) {
-      c->beginSpawn(m_.master->ctx, now);
+      c->beginSpawn(m_.master->tcu.ctx, now);
       c->wakeAt(now + 1);
     }
   }
@@ -1351,6 +1241,8 @@ ModelCore::ModelCore(FuncModel& funcModel, const XmtConfig& config,
   for (int i = 0; i < cfg.clusters; ++i)
     clusters.push_back(std::make_unique<ClusterActor>(
         *this, i, sched, *clusterClk[static_cast<std::size_t>(i)]));
+  replyTo.push_back(master.get());
+  for (auto& c : clusters) replyTo.push_back(c.get());
   spawnStarter = std::make_unique<SpawnStarter>(*this);
   spawnJoiner = std::make_unique<SpawnJoiner>(*this);
 }
@@ -1387,6 +1279,21 @@ SimTime ModelCore::asyncIcnLatency(std::uint64_t pkgId, int meanCycles) {
   return lat < 1 ? 1 : lat;
 }
 
+Package ModelCore::makePkg(PkgKind kind, std::uint32_t addr,
+                           std::uint32_t value, int cluster, int tcu,
+                           std::uint8_t destReg, SimTime now) {
+  Package p;
+  p.kind = kind;
+  p.addr = addr;
+  p.value = value;
+  p.srcCluster = static_cast<std::int16_t>(cluster);
+  p.srcTcu = static_cast<std::int16_t>(tcu);
+  p.destReg = destReg;
+  p.id = ++pkgSeq;
+  p.issueTime = now;
+  return p;
+}
+
 void ModelCore::sendPackage(Package pkg, SimTime now) {
   ++stats.icnPackets;
   ++inFlight;
@@ -1414,14 +1321,10 @@ void ModelCore::sendResponse(const Package& pkg, SimTime readyAt) {
 
 // Direct (continuous-time) delivery — asynchronous-ICN configurations only.
 void ModelCore::deliverResponse(const Package& pkg, SimTime now) {
-  if (pkg.srcCluster == kMasterCluster) {
-    master->pkgInbox.push(now, pkg);
-    master->wakeAt(now);
-  } else {
-    auto& c = clusters[static_cast<std::size_t>(pkg.srcCluster)];
-    c->pkgInbox.push(now, pkg);
-    c->wakeAt(now);
-  }
+  TcuActor& dst = *replyTo[static_cast<std::size_t>(pkg.srcCluster -
+                                                    kMasterCluster)];
+  dst.pkgInbox.push(now, pkg);
+  dst.wakeAt(now);
 }
 
 // Synchronous return path: hand the package to the destination's return
@@ -1429,14 +1332,10 @@ void ModelCore::deliverResponse(const Package& pkg, SimTime now) {
 // edge metering when it ticks. The wake targets the earliest possible
 // delivery edge (the port may postpone under rate pressure and re-arm).
 void ModelCore::routeReturn(const Package& pkg, SimTime ready) {
-  if (pkg.srcCluster == kMasterCluster) {
-    master->retPort.q.push(ready, pkg);
-    master->wakeAt(icnClk.nextEdge(ready - 1));
-  } else {
-    auto& c = *clusters[static_cast<std::size_t>(pkg.srcCluster)];
-    c.retPort.q.push(ready, pkg);
-    c.wakeAt(icnClk.nextEdge(ready - 1));
-  }
+  TcuActor& dst = *replyTo[static_cast<std::size_t>(pkg.srcCluster -
+                                                    kMasterCluster)];
+  dst.retPort.q.push(ready, pkg);
+  dst.wakeAt(icnClk.nextEdge(ready - 1));
 }
 
 void ModelCore::sendPsRequest(const PsReq& req, SimTime now) {
@@ -1498,7 +1397,8 @@ void ModelCore::syncCacheStats() {
 
 bool ModelCore::quiescent() const {
   return !spawnActive && !halted && inFlight == 0 &&
-         master->runnable() && master->outstandingStores() == 0;
+         master->tcu.phase == Phase::kRunning &&
+         master->tcu.outstandingStores == 0;
 }
 
 }  // namespace detail
@@ -1556,11 +1456,11 @@ bool CycleModel::halted() const { return core_->halted; }
 bool CycleModel::quiescent() const { return core_->quiescent(); }
 
 const Context& CycleModel::masterContext() const {
-  return core_->master->ctx;
+  return core_->master->tcu.ctx;
 }
 
 void CycleModel::setMasterContext(const Context& ctx) {
-  core_->master->ctx = ctx;
+  core_->master->tcu.ctx = ctx;
   core_->masterRestored = true;
 }
 
@@ -1609,8 +1509,7 @@ void CycleModel::setIcnFrequency(double ghz) {
   core_->icnClk.setFrequency(ghz, core_->sched.now());
   // Return metering lives in the destinations' ports now: re-arm them so
   // pending deliveries re-anchor to the new edge grid.
-  core_->master->wakeAt(core_->sched.now() + 1);
-  for (auto& c : core_->clusters) c->wakeAt(core_->sched.now() + 1);
+  for (auto* a : core_->replyTo) a->wakeAt(core_->sched.now() + 1);
 }
 
 void CycleModel::setCacheFrequency(double ghz) {
