@@ -70,7 +70,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/assembler/assembler.h"
 #include "src/assembler/memorymap.h"
 #include "src/common/error.h"
 #include "src/compiler/analysis/mcheck.h"
@@ -244,8 +243,7 @@ int main(int argc, char** argv) {
         mr = xmt::testing::modelCheckWorkload(wi, mo);
       } else {
         auto facts = xmt::analysis::computeMcFactsForSource(source);
-        mr = xmt::testing::modelCheckProgram(xmt::assemble(r.asmText), mo,
-                                             &facts);
+        mr = xmt::testing::modelCheckProgram(r.program, mo, &facts);
       }
 
       // Exhaustive clean verdicts demote the static lint's surviving "may
@@ -311,7 +309,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    auto sim = std::make_unique<xmt::Simulator>(xmt::assemble(cr.asmText),
+    auto sim = std::make_unique<xmt::Simulator>(std::move(cr.program),
                                                 opts.config, opts.mode);
     std::unique_ptr<xmt::RandomScheduleRunner> seedRunner;
     if (raceCheck) {

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
             co.clusterCount = 8;
             co.verifyAsm = false;  // we call the verifier ourselves
             auto r = xmt::compileXmtc(src, co);
-            auto ds = xmt::analysis::verifyAssembly(r.asmText, vopts);
+            auto ds = xmt::analysis::verifyAssembly(r.program, vopts);
             ++checks;
             if (!ds.empty()) {
               ++failures;
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
       xmt::CompilerOptions co;
       co.verifyAsm = false;
       auto r = xmt::compileXmtc(src, co);
-      auto base = xmt::analysis::verifyAssembly(r.asmText, vopts);
+      auto base = xmt::analysis::verifyAssembly(r.program, vopts);
       if (!base.empty()) {
         std::printf("[FAIL] %s: baseline not clean:\n", name.c_str());
         for (const auto& d : base)

@@ -32,10 +32,6 @@ bool Program::hasSymbol(const std::string& name) const {
 
 namespace {
 
-struct Token {
-  std::string text;
-};
-
 // Splits an assembly operand list on commas, respecting quoted strings.
 std::vector<std::string> splitOperands(const std::string& s) {
   std::vector<std::string> out;
@@ -73,13 +69,6 @@ bool isIdentChar(char c) {
          c == '$';
 }
 
-struct Line {
-  int number = 0;
-  std::vector<std::string> labels;
-  std::string mnemonic;   // directive (leading '.') or instruction
-  std::vector<std::string> operands;
-};
-
 // Strips comments (# or ;) outside of strings.
 std::string stripComment(const std::string& raw) {
   std::string out;
@@ -99,15 +88,17 @@ std::string stripComment(const std::string& raw) {
   return out;
 }
 
-std::vector<Line> tokenizeLines(const std::string& source) {
-  std::vector<Line> lines;
+}  // namespace
+
+std::vector<AsmLine> tokenizeAsm(const std::string& source) {
+  std::vector<AsmLine> lines;
   std::istringstream in(source);
   std::string raw;
   int lineno = 0;
   while (std::getline(in, raw)) {
     ++lineno;
     std::string s = stripComment(raw);
-    Line line;
+    AsmLine line;
     line.number = lineno;
     std::size_t i = 0;
     auto skipWs = [&] {
@@ -146,6 +137,8 @@ std::vector<Line> tokenizeLines(const std::string& source) {
   }
   return lines;
 }
+
+namespace {
 
 std::int64_t parseIntValue(const std::string& s, int lineno) {
   const char* c = s.c_str();
@@ -193,7 +186,7 @@ std::string parseStringLiteral(const std::string& s, int lineno) {
 class AssemblerImpl {
  public:
   explicit AssemblerImpl(const std::string& source)
-      : lines_(tokenizeLines(source)) {}
+      : lines_(tokenizeAsm(source)) {}
 
   Program run() {
     pass1();
@@ -210,7 +203,7 @@ class AssemblerImpl {
     Seg seg = Seg::kText;
     std::uint32_t textAddr = kTextBase;
     std::uint32_t dataAddr = kDataBase;
-    auto defineLabels = [&](const Line& line) {
+    auto defineLabels = [&](const AsmLine& line) {
       std::uint32_t addr = (seg == Seg::kText) ? textAddr : dataAddr;
       for (const auto& lbl : line.labels) {
         if (prog_.symbols.count(lbl))
@@ -219,8 +212,6 @@ class AssemblerImpl {
         sym.addr = addr;
         sym.isText = (seg == Seg::kText);
         prog_.symbols[lbl] = sym;
-        lastDataSym_ = (seg == Seg::kData) ? lbl : lastDataSym_;
-        if (seg == Seg::kData) openDataSyms_.push_back(lbl);
       }
     };
     for (const auto& line : lines_) {
@@ -230,28 +221,17 @@ class AssemblerImpl {
       if (line.mnemonic.empty()) continue;
       if (line.mnemonic[0] == '.') {
         std::uint32_t grow = directiveSize(line, seg, dataAddr);
-        if (seg == Seg::kData) {
-          // Extend the size of open (most recent) data symbols.
+        if (seg == Seg::kData)
           dataAddr += grow;
-          for (const auto& name : openDataSyms_)
-            prog_.symbols[name].size = dataAddr - prog_.symbols[name].addr;
-        } else if (grow != 0) {
+        else if (grow != 0)
           throw AsmError(line.number, "data directive in .text segment");
-        }
         continue;
       }
-      // New data labels close previous symbol extents only when followed by
-      // another label; simplest rule: a label starts a fresh extent list.
-      if (seg == Seg::kText) {
-        openDataSyms_.clear();
-        textAddr += 4 * instructionCount(line);
-      } else {
+      // Every instruction, pseudo-instructions included, is one word.
+      if (seg != Seg::kText)
         throw AsmError(line.number, "instruction in .data segment");
-      }
-      if (!line.labels.empty()) openDataSyms_.clear();
+      textAddr += 4;
     }
-    // Reset open symbol tracking for pass 2 correctness: recompute sizes by
-    // scanning symbol addresses (extent = distance to next data symbol).
     fixDataSymbolSizes(dataAddr);
     dataSize_ = dataAddr - kDataBase;
   }
@@ -273,7 +253,7 @@ class AssemblerImpl {
   }
 
   // Returns byte growth of the data segment for a directive (pass 1).
-  std::uint32_t directiveSize(const Line& line, Seg seg,
+  std::uint32_t directiveSize(const AsmLine& line, Seg seg,
                               std::uint32_t dataAddr) {
     const std::string& d = line.mnemonic;
     if (d == ".global") {
@@ -307,13 +287,6 @@ class AssemblerImpl {
     }
     if (seg == Seg::kData || d == ".text" || d == ".data") return 0;
     throw AsmError(line.number, "unknown directive '" + d + "'");
-  }
-
-  // Number of machine instructions a mnemonic line expands to.
-  std::size_t instructionCount(const Line& line) {
-    // All pseudo-instructions expand 1:1 in this assembler.
-    (void)line;
-    return 1;
   }
 
   std::int32_t resolveValue(const std::string& s, int lineno) {
@@ -366,7 +339,7 @@ class AssemblerImpl {
     }
   }
 
-  void emitDirective(const Line& line, Seg seg, std::uint32_t& dataAddr) {
+  void emitDirective(const AsmLine& line, Seg seg, std::uint32_t& dataAddr) {
     const std::string& d = line.mnemonic;
     auto putWord = [&](std::uint32_t w) {
       std::size_t off = dataAddr - kDataBase;
@@ -406,7 +379,7 @@ class AssemblerImpl {
     (void)seg;
   }
 
-  void emitInstruction(const Line& line) {
+  void emitInstruction(const AsmLine& line) {
     std::string mn = line.mnemonic;
     std::vector<std::string> ops = line.operands;
     // Pseudo-instruction expansion.
@@ -535,11 +508,9 @@ class AssemblerImpl {
     }
   }
 
-  std::vector<Line> lines_;
+  std::vector<AsmLine> lines_;
   Program prog_;
   std::vector<std::string> globals_;
-  std::vector<std::string> openDataSyms_;
-  std::string lastDataSym_;
   std::uint32_t dataSize_ = 0;
 };
 

@@ -18,10 +18,27 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "src/assembler/program.h"
 
 namespace xmt {
+
+/// One non-blank line of assembly as the assembler reads it: comments (`#`
+/// or `;`, outside string literals) are stripped, leading `label:`s are
+/// split off, and the rest is a mnemonic (directive or instruction) with
+/// comma-separated, trimmed operands. Label-only lines have an empty
+/// mnemonic. This is the only reader of assembly text; the compiler
+/// post-pass and the asmverify mutation harness work on its output.
+struct AsmLine {
+  int number = 0;  // 1-based line in the source text
+  std::vector<std::string> labels;
+  std::string mnemonic;
+  std::vector<std::string> operands;
+};
+
+/// Tokenizes `source` into its non-blank lines. Never throws.
+std::vector<AsmLine> tokenizeAsm(const std::string& source);
 
 /// Assembles `source` into a program image. Throws AsmError with a line
 /// number on any syntax or resolution failure.

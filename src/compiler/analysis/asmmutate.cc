@@ -1,67 +1,25 @@
 #include "src/compiler/analysis/asmmutate.h"
 
-#include <cctype>
-#include <set>
+#include <algorithm>
 #include <sstream>
+
+#include "src/assembler/assembler.h"
 
 namespace xmt::analysis {
 
 namespace {
 
-struct Line {
-  std::string raw;        // original text, re-emitted verbatim
-  std::string label;      // "X" for a pure label line "X:"
-  std::string mnemonic;   // first token of an instruction line
-  std::vector<std::string> operands;
-};
-
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::vector<Line> parseLines(const std::string& text) {
-  std::vector<Line> out;
-  std::istringstream in(text);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    Line l;
-    l.raw = raw;
-    std::string s = raw;
-    std::size_t hash = s.find('#');
-    if (hash != std::string::npos && s.find('"') == std::string::npos)
-      s = s.substr(0, hash);
-    s = trim(s);
-    if (!s.empty() && s.back() == ':' && s.find(' ') == std::string::npos) {
-      l.label = s.substr(0, s.size() - 1);
-    } else if (!s.empty() && s[0] != '.') {
-      std::size_t sp = s.find_first_of(" \t");
-      if (sp == std::string::npos) {
-        l.mnemonic = s;
-      } else {
-        l.mnemonic = s.substr(0, sp);
-        std::string rest = s.substr(sp + 1), tok;
-        std::istringstream rs(rest);
-        while (std::getline(rs, tok, ',')) {
-          tok = trim(tok);
-          if (!tok.empty()) l.operands.push_back(tok);
-        }
-      }
-    }
-    out.push_back(std::move(l));
-  }
-  return out;
-}
-
-std::string render(const std::vector<Line>& lines) {
+std::string render(const std::vector<std::string>& lines) {
   std::string out;
-  for (const Line& l : lines) {
-    out += l.raw;
+  for (const std::string& l : lines) {
+    out += l;
     out += '\n';
   }
   return out;
+}
+
+bool hasLabel(const AsmLine& l, const std::string& name) {
+  return std::find(l.labels.begin(), l.labels.end(), name) != l.labels.end();
 }
 
 bool isControlFlow(const std::string& m) {
@@ -90,10 +48,28 @@ const char* mutantClassName(MutantClass c) {
 
 std::vector<Mutant> generateMutants(const std::string& asmText) {
   std::vector<Mutant> out;
-  const std::vector<Line> lines = parseLines(asmText);
+  // Mutants re-emit the raw lines verbatim; the assembler's tokenizer says
+  // what each one is. tok[i] reads raw line i: no labels and no mnemonic
+  // for blank and comment-only lines, and directives count as no
+  // instruction.
+  std::vector<std::string> lines;
+  {
+    std::istringstream in(asmText);
+    std::string raw;
+    while (std::getline(in, raw)) lines.push_back(std::move(raw));
+  }
   const std::size_t n = lines.size();
+  std::vector<AsmLine> tok(n);
+  for (AsmLine& t : tokenizeAsm(asmText)) {
+    if (!t.mnemonic.empty() && t.mnemonic[0] == '.') {
+      t.mnemonic.clear();
+      t.operands.clear();
+    }
+    tok[static_cast<std::size_t>(t.number - 1)] = std::move(t);
+  }
 
-  auto emit = [&](MutantClass cls, std::string desc, std::vector<Line> body) {
+  auto emit = [&](MutantClass cls, std::string desc,
+                  std::vector<std::string> body) {
     out.push_back({cls, std::move(desc), render(body)});
   };
 
@@ -104,8 +80,8 @@ std::vector<Mutant> generateMutants(const std::string& asmText) {
     std::ptrdiff_t swnbAt = -1, fenceAt = -1;
     int fencesSinceStore = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const Line& l = lines[i];
-      if (!l.label.empty() || isControlFlow(l.mnemonic)) {
+      const AsmLine& l = tok[i];
+      if (!l.labels.empty() || isControlFlow(l.mnemonic)) {
         swnbAt = -1;
         fenceAt = -1;
         fencesSinceStore = 0;
@@ -124,7 +100,7 @@ std::vector<Mutant> generateMutants(const std::string& asmText) {
       }
       if ((l.mnemonic == "ps" || l.mnemonic == "psm") && swnbAt >= 0 &&
           fenceAt >= 0 && fencesSinceStore == 1) {
-        std::vector<Line> body(lines);
+        std::vector<std::string> body(lines);
         body.erase(body.begin() + fenceAt);
         emit(MutantClass::kDropFence,
              "dropped fence (line " + std::to_string(fenceAt + 1) +
@@ -132,7 +108,7 @@ std::vector<Mutant> generateMutants(const std::string& asmText) {
              std::move(body));
 
         body = lines;
-        Line store = body[static_cast<std::size_t>(swnbAt)];
+        std::string store = body[static_cast<std::size_t>(swnbAt)];
         body.erase(body.begin() + swnbAt);
         body.insert(body.begin() + fenceAt, store);  // now after the fence
         emit(MutantClass::kHoistStoreAcrossPs,
@@ -146,13 +122,13 @@ std::vector<Mutant> generateMutants(const std::string& asmText) {
 
   // --- Region mutants: operate on each spawn region.
   for (std::size_t si = 0; si < n; ++si) {
-    if (lines[si].mnemonic != "spawn" || lines[si].operands.size() != 2)
+    if (tok[si].mnemonic != "spawn" || tok[si].operands.size() != 2)
       continue;
     std::ptrdiff_t start = -1, end = -1;
     for (std::size_t i = 0; i < n; ++i) {
-      if (lines[i].label == lines[si].operands[0])
+      if (hasLabel(tok[i], tok[si].operands[0]))
         start = static_cast<std::ptrdiff_t>(i);
-      if (lines[i].label == lines[si].operands[1])
+      if (hasLabel(tok[i], tok[si].operands[1]))
         end = static_cast<std::ptrdiff_t>(i);
     }
     if (start < 0 || end < 0 || start >= end) continue;
@@ -162,29 +138,20 @@ std::vector<Mutant> generateMutants(const std::string& asmText) {
     // Fig. 9a reproduced at the text level. The relocated copy jumps back
     // so the mutant differs from the original only in layout.
     for (std::ptrdiff_t i = start + 1; i < end; ++i) {
-      const Line& l = lines[static_cast<std::size_t>(i)];
+      const AsmLine& l = tok[static_cast<std::size_t>(i)];
       if (l.mnemonic.empty() || isControlFlow(l.mnemonic) ||
           drains(l.mnemonic))
         continue;
-      std::vector<Line> body(lines);
-      Line moved = body[static_cast<std::size_t>(i)];
-      Line jumpOut;
-      jumpOut.raw = "  j __mut_blk" + tag;
-      jumpOut.mnemonic = "j";
-      Line retLbl;
-      retLbl.raw = "__mut_ret" + tag + ":";
-      retLbl.label = "__mut_ret" + tag;
-      body[static_cast<std::size_t>(i)] = jumpOut;
-      body.insert(body.begin() + i + 1, retLbl);
-      Line outLbl;
-      outLbl.raw = "__mut_blk" + tag + ":";
-      Line jumpBack;
-      jumpBack.raw = "  j __mut_ret" + tag;
-      body.push_back(outLbl);
+      std::vector<std::string> body(lines);
+      std::string moved = body[static_cast<std::size_t>(i)];
+      body[static_cast<std::size_t>(i)] = "  j __mut_blk" + tag;
+      body.insert(body.begin() + i + 1, "__mut_ret" + tag + ":");
+      body.push_back("__mut_blk" + tag + ":");
       body.push_back(moved);
-      body.push_back(jumpBack);
+      body.push_back("  j __mut_ret" + tag);
       emit(MutantClass::kBlockOutOfRegion,
-           "moved in-region instruction '" + trim(moved.raw) +
+           "moved in-region instruction '" +
+               moved.substr(moved.find_first_not_of(" \t")) +
                "' past the region (Fig. 9a layout)",
            std::move(body));
       break;
@@ -192,11 +159,8 @@ std::vector<Mutant> generateMutants(const std::string& asmText) {
 
     // Insert an sp-relative spill at the region entry.
     {
-      std::vector<Line> body(lines);
-      Line spill;
-      spill.raw = "  sw t4, 0(sp)";
-      spill.mnemonic = "sw";
-      body.insert(body.begin() + start + 1, spill);
+      std::vector<std::string> body(lines);
+      body.insert(body.begin() + start + 1, "  sw t4, 0(sp)");
       emit(MutantClass::kInRegionSpill,
            "inserted 'sw t4, 0(sp)' at region entry (no parallel stack)",
            std::move(body));
@@ -210,7 +174,7 @@ std::vector<Mutant> generateMutants(const std::string& asmText) {
       std::string unused;
       for (const char* cand : kCandidates) {
         bool mentioned = false;
-        for (const Line& l : lines)
+        for (const AsmLine& l : tok)
           for (const std::string& op : l.operands)
             if (op == cand || op.find(std::string(cand) + ")") !=
                                   std::string::npos)
@@ -221,11 +185,9 @@ std::vector<Mutant> generateMutants(const std::string& asmText) {
         }
       }
       if (!unused.empty()) {
-        std::vector<Line> body(lines);
-        Line read;
-        read.raw = "  add " + unused + ", " + unused + ", " + unused;
-        read.mnemonic = "add";
-        body.insert(body.begin() + start + 1, read);
+        std::vector<std::string> body(lines);
+        body.insert(body.begin() + start + 1,
+                    "  add " + unused + ", " + unused + ", " + unused);
         emit(MutantClass::kUndefSpawnReg,
              "read of never-defined register " + unused + " at region entry",
              std::move(body));

@@ -8,7 +8,8 @@
 // the surrounding code proves the perturbation introduces a violation
 // (e.g. a fence is only dropped when a straight-line swnb → fence → ps/psm
 // chain shows the fence is load-bearing), so "mutant not flagged" always
-// means a verifier bug, never an equivalent mutant.
+// means a verifier bug, never an equivalent mutant. Lines are classified by
+// the assembler's tokenizer (tokenizeAsm) and re-emitted verbatim.
 #pragma once
 
 #include <string>

@@ -469,6 +469,13 @@ struct Verifier {
 
 }  // namespace
 
+std::vector<Diagnostic> verifyAssembly(const Program& prog,
+                                       const AsmVerifyOptions& opts) {
+  Verifier v(prog, opts);
+  v.run();
+  return std::move(v.diags);
+}
+
 std::vector<Diagnostic> verifyAssembly(const std::string& asmText,
                                        const AsmVerifyOptions& opts) {
   Program prog;
@@ -481,9 +488,7 @@ std::vector<Diagnostic> verifyAssembly(const std::string& asmText,
     d.message = std::string("assembly does not decode: ") + e.what();
     return {std::move(d)};
   }
-  Verifier v(prog, opts);
-  v.run();
-  return std::move(v.diags);
+  return verifyAssembly(prog, opts);
 }
 
 }  // namespace xmt::analysis

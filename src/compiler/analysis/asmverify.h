@@ -2,11 +2,11 @@
 //
 // The paper's post-pass (Section IV-B) is supposed to *verify* that emitted
 // assembly complies with XMT semantics; runPostPass only repairs basic-block
-// layout. This pass closes the gap: it assembles the post-pass output into
-// decoded Instruction records (reusing the assembler's front-end rather than
-// pattern-matching text), builds a machine-code CFG over the text segment,
-// and runs dataflow over *physical* registers to check the rules of
-// Section IV-A at the level the hardware sees:
+// layout. This pass closes the gap: it works on the decoded Instruction
+// records of the post-pass output (the Program the driver assembled once,
+// not pattern-matched text), builds a machine-code CFG over the text
+// segment, and runs dataflow over *physical* registers to check the rules
+// of Section IV-A at the level the hardware sees:
 //
 //   1. Every path to a `ps`/`psm` with an outstanding non-blocking store
 //      carries a `fence` (the prefix-sum unit does not order against the
@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "src/assembler/program.h"
 #include "src/compiler/diag.h"
 
 namespace xmt::analysis {
@@ -61,10 +62,18 @@ struct AsmVerifyOptions {
   bool strictSpawnFence = false;
 };
 
-/// Verifies assembly text. Returns one Diagnostic per finding (severity
-/// kWarning; callers promote under -Werror-asm). Never throws on malformed
-/// input: text that does not assemble yields a single kAsmUnassemblable
-/// finding. Diagnostic::line is the assembly source line.
+/// Verifies an assembled program. Returns one Diagnostic per finding
+/// (severity kWarning; callers promote under -Werror-asm).
+/// Diagnostic::line is the assembly source line (Instruction::srcLine).
+/// The compiler driver calls this on the Program it assembled once from
+/// its final text (CompileResult::program).
+std::vector<Diagnostic> verifyAssembly(const Program& prog,
+                                       const AsmVerifyOptions& opts = {});
+
+/// Assembles `asmText` and verifies the result: the form for text the
+/// compiler did not produce (hand-written assembly, mutants). Never throws
+/// on malformed input: text that does not assemble yields a single
+/// kAsmUnassemblable finding.
 std::vector<Diagnostic> verifyAssembly(const std::string& asmText,
                                        const AsmVerifyOptions& opts = {});
 

@@ -78,10 +78,12 @@ CompileResult compileXmtc(const std::string& source,
     res.relocatedBlocks = rep.relocatedBlocks;
   }
 
-  // Assembly-level legality verifier: checks the final text, after any
-  // layout repair, against the Section IV-A machine rules.
+  // The final text is assembled exactly once. The assembly-level legality
+  // verifier checks that image, after any layout repair, against the
+  // Section IV-A machine rules, and the result carries it to the caller.
+  res.program = assemble(res.asmText);
   if (opts.verifyAsm) {
-    std::vector<Diagnostic> vds = analysis::verifyAssembly(res.asmText);
+    std::vector<Diagnostic> vds = analysis::verifyAssembly(res.program);
     if (opts.werrorAsm && !vds.empty()) {
       Diagnostic err = vds.front();
       err.severity = Severity::kError;
@@ -96,7 +98,7 @@ CompileResult compileXmtc(const std::string& source,
 
 Program compileToProgram(const std::string& source,
                          const CompilerOptions& opts) {
-  return assemble(compileXmtc(source, opts).asmText);
+  return compileXmtc(source, opts).program;
 }
 
 }  // namespace xmt

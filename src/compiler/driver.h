@@ -41,17 +41,22 @@ struct CompilerOptions {
 };
 
 struct CompileResult {
-  std::string asmText;
+  std::string asmText;            // final assembly (after the post-pass)
+  Program program;                // asmText assembled; srcLine indexes it
   std::string transformedSource;  // XMTC after the source-to-source passes
   int relocatedBlocks = 0;        // post-pass Fig. 9 repairs performed
   std::vector<Diagnostic> diagnostics;  // race-lint + asm-verifier findings
 };
 
-/// Compiles XMTC source to XMT assembly. Throws CompileError / AsmError.
+/// Compiles XMTC source to XMT assembly and assembles that text once; the
+/// asm verifier checks the same `program` the result carries. Throws
+/// CompileError / DiagnosticError, PostPassError from the post-pass, and
+/// AsmError when the compiler's own output does not assemble (a compiler
+/// bug: there is no xmt-asm-unassemblable warning for it).
 CompileResult compileXmtc(const std::string& source,
                           const CompilerOptions& opts = {});
 
-/// Compiles and assembles to a loadable program image.
+/// Compiles to a loadable program image: `compileXmtc(source, opts).program`.
 Program compileToProgram(const std::string& source,
                          const CompilerOptions& opts = {});
 

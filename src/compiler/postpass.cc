@@ -1,137 +1,60 @@
 #include "src/compiler/postpass.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
 #include <vector>
 
+#include "src/assembler/assembler.h"
 #include "src/common/error.h"
 
 namespace xmt {
 
 namespace {
 
-struct AsmLine {
-  std::vector<std::string> labels;
-  std::string mnemonic;                 // empty for label-only / directives
-  std::vector<std::string> operands;
-  int srcLine = 0;                      // 1-based line in the input text
-};
-
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+// The assembler's reading of the text, with label-only lines folded onto
+// the next line so that every line is one instruction or directive (a
+// trailing label-only line stays as it is).
+std::vector<AsmLine> foldedLines(const std::string& text) {
+  std::vector<AsmLine> out;
+  std::vector<std::string> pending;
+  for (AsmLine& l : tokenizeAsm(text)) {
+    pending.insert(pending.end(), l.labels.begin(), l.labels.end());
+    if (l.mnemonic.empty()) continue;
+    l.labels = std::move(pending);
+    pending.clear();
+    out.push_back(std::move(l));
+  }
+  if (!pending.empty()) {
+    AsmLine tail;
+    tail.labels = std::move(pending);
+    out.push_back(std::move(tail));
+  }
+  return out;
 }
 
-// Parses assembly into structured lines. Comments and data directives are
-// preserved verbatim via `raw` rendering on output.
-struct ParsedAsm {
-  std::vector<AsmLine> lines;
-  std::map<std::string, std::size_t> labelAt;  // label -> line index
+std::map<std::string, std::size_t> labelIndex(
+    const std::vector<AsmLine>& lines) {
+  std::map<std::string, std::size_t> at;
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    for (const auto& lbl : lines[i].labels) at[lbl] = i;
+  return at;
+}
 
-  std::string render() const {
-    std::ostringstream out;
-    for (const auto& l : lines) {
-      for (const auto& lbl : l.labels) out << lbl << ":\n";
-      if (!l.mnemonic.empty()) {
-        out << "  " << l.mnemonic;
-        for (std::size_t i = 0; i < l.operands.size(); ++i)
-          out << (i == 0 ? " " : ", ") << l.operands[i];
-        out << "\n";
-      }
+std::string render(const std::vector<AsmLine>& lines) {
+  std::ostringstream out;
+  for (const auto& l : lines) {
+    for (const auto& lbl : l.labels) out << lbl << ":\n";
+    if (!l.mnemonic.empty()) {
+      out << "  " << l.mnemonic;
+      for (std::size_t i = 0; i < l.operands.size(); ++i)
+        out << (i == 0 ? " " : ", ") << l.operands[i];
+      out << "\n";
     }
-    return out.str();
   }
-};
-
-ParsedAsm parseAsm(const std::string& text) {
-  ParsedAsm p;
-  std::istringstream in(text);
-  std::string raw;
-  std::vector<std::string> pendingLabels;
-  int srcLine = 0;
-  auto isIdent = [](char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-           c == '.' || c == '$';
-  };
-  while (std::getline(in, raw)) {
-    ++srcLine;
-    // Strip comments (no string literals contain '#' in our output except
-    // .asciiz — handle by skipping inside quotes).
-    std::string s;
-    bool inStr = false;
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-      char c = raw[i];
-      if (inStr) {
-        s += c;
-        if (c == '\\' && i + 1 < raw.size()) s += raw[++i];
-        else if (c == '"') inStr = false;
-        continue;
-      }
-      if (c == '"') { inStr = true; s += c; continue; }
-      if (c == '#') break;
-      s += c;
-    }
-    s = trim(s);
-    if (s.empty()) continue;
-    // Labels.
-    for (;;) {
-      std::size_t j = 0;
-      while (j < s.size() && isIdent(s[j])) ++j;
-      if (j > 0 && j < s.size() && s[j] == ':') {
-        pendingLabels.push_back(s.substr(0, j));
-        s = trim(s.substr(j + 1));
-        continue;
-      }
-      break;
-    }
-    if (s.empty()) continue;
-    AsmLine line;
-    line.srcLine = srcLine;
-    line.labels = std::move(pendingLabels);
-    pendingLabels.clear();
-    std::size_t sp = s.find_first_of(" \t");
-    if (sp == std::string::npos) {
-      line.mnemonic = s;
-    } else {
-      line.mnemonic = s.substr(0, sp);
-      std::string rest = s.substr(sp + 1);
-      // Split on commas outside quotes.
-      std::string curTok;
-      bool q = false;
-      for (std::size_t i = 0; i < rest.size(); ++i) {
-        char c = rest[i];
-        if (q) {
-          curTok += c;
-          if (c == '\\' && i + 1 < rest.size()) curTok += rest[++i];
-          else if (c == '"') q = false;
-          continue;
-        }
-        if (c == '"') { q = true; curTok += c; continue; }
-        if (c == ',') {
-          line.operands.push_back(trim(curTok));
-          curTok.clear();
-          continue;
-        }
-        curTok += c;
-      }
-      if (!trim(curTok).empty()) line.operands.push_back(trim(curTok));
-    }
-    p.lines.push_back(std::move(line));
-  }
-  if (!pendingLabels.empty()) {
-    AsmLine tail;
-    tail.labels = std::move(pendingLabels);
-    p.lines.push_back(std::move(tail));
-  }
-  for (std::size_t i = 0; i < p.lines.size(); ++i)
-    for (const auto& lbl : p.lines[i].labels) p.labelAt[lbl] = i;
-  return p;
+  return out.str();
 }
 
 bool isBranch(const std::string& m) {
@@ -165,25 +88,26 @@ std::string targetOf(const AsmLine& l) {
 }  // namespace
 
 PostPassReport runPostPass(const std::string& asmText) {
-  ParsedAsm p = parseAsm(asmText);
+  std::vector<AsmLine> lines = foldedLines(asmText);
+  std::map<std::string, std::size_t> labelAt = labelIndex(lines);
   PostPassReport report;
   int fixLabelCounter = 0;
 
-  for (std::size_t si = 0; si < p.lines.size(); ++si) {
-    if (p.lines[si].mnemonic != "spawn") continue;
+  for (std::size_t si = 0; si < lines.size(); ++si) {
+    if (lines[si].mnemonic != "spawn") continue;
     ++report.regionsChecked;
-    const int spawnLine = p.lines[si].srcLine;
-    if (p.lines[si].operands.size() != 2)
+    const int spawnLine = lines[si].number;
+    if (lines[si].operands.size() != 2)
       fail(DiagCode::kPostPassBadSpawn, spawnLine,
            "spawn needs two label operands");
-    const std::string regionLbl = p.lines[si].operands[0];
-    auto s = p.labelAt.find(p.lines[si].operands[0]);
-    auto e = p.labelAt.find(p.lines[si].operands[1]);
-    if (s == p.labelAt.end() || e == p.labelAt.end())
+    const std::string regionLbl = lines[si].operands[0];
+    auto s = labelAt.find(lines[si].operands[0]);
+    auto e = labelAt.find(lines[si].operands[1]);
+    if (s == labelAt.end() || e == labelAt.end())
       fail(DiagCode::kPostPassUnknownLabel, spawnLine,
            "spawn references unknown label",
-           s == p.labelAt.end() ? p.lines[si].operands[0]
-                                : p.lines[si].operands[1]);
+           s == labelAt.end() ? lines[si].operands[0]
+                              : lines[si].operands[1]);
     std::size_t start = s->second;
     std::size_t end = e->second;
     if (start > end)
@@ -197,23 +121,23 @@ PostPassReport runPostPass(const std::string& asmText) {
       while (!work.empty()) {
         std::size_t i = work.back();
         work.pop_back();
-        if (i >= p.lines.size() || !visited.insert(i).second) continue;
-        const AsmLine& l = p.lines[i];
+        if (i >= lines.size() || !visited.insert(i).second) continue;
+        const AsmLine& l = lines[i];
         if (l.mnemonic == "spawn")
-          fail(DiagCode::kPostPassNestedSpawn, l.srcLine,
+          fail(DiagCode::kPostPassNestedSpawn, l.number,
                "nested spawn inside a spawn region", regionLbl, spawnLine);
         if (l.mnemonic == "halt")
-          fail(DiagCode::kPostPassHaltInRegion, l.srcLine,
+          fail(DiagCode::kPostPassHaltInRegion, l.number,
                "halt inside a spawn region", regionLbl, spawnLine);
         if (l.mnemonic == "jr")
-          fail(DiagCode::kPostPassCallInRegion, l.srcLine,
+          fail(DiagCode::kPostPassCallInRegion, l.number,
                "jr inside a spawn region (no calls in parallel code)",
                regionLbl, spawnLine);
         std::string tgt = targetOf(l);
         if (!tgt.empty()) {
-          auto t = p.labelAt.find(tgt);
-          if (t == p.labelAt.end())
-            fail(DiagCode::kPostPassUnknownLabel, l.srcLine,
+          auto t = labelAt.find(tgt);
+          if (t == labelAt.end())
+            fail(DiagCode::kPostPassUnknownLabel, l.number,
                  "branch to unknown label " + tgt, tgt);
           work.push_back(t->second);
         }
@@ -238,21 +162,20 @@ PostPassReport runPostPass(const std::string& asmText) {
       }
       // If the run's last line can fall through, give the successor a label
       // and append an explicit jump (keeps semantics when relocated).
-      std::vector<AsmLine> chunk(p.lines.begin() +
-                                     static_cast<std::ptrdiff_t>(runBegin),
-                                 p.lines.begin() +
-                                     static_cast<std::ptrdiff_t>(runEnd + 1));
+      std::vector<AsmLine> chunk(
+          lines.begin() + static_cast<std::ptrdiff_t>(runBegin),
+          lines.begin() + static_cast<std::ptrdiff_t>(runEnd + 1));
       if (!endsFlow(chunk.back().mnemonic)) {
         std::size_t succ = runEnd + 1;
-        if (succ >= p.lines.size())
-          fail(DiagCode::kPostPassLayout, chunk.back().srcLine,
+        if (succ >= lines.size())
+          fail(DiagCode::kPostPassLayout, chunk.back().number,
                "misplaced block falls off the end", regionLbl, spawnLine);
         std::string lbl;
-        if (!p.lines[succ].labels.empty()) {
-          lbl = p.lines[succ].labels[0];
+        if (!lines[succ].labels.empty()) {
+          lbl = lines[succ].labels[0];
         } else {
           lbl = "__pp_succ" + std::to_string(fixLabelCounter++);
-          p.lines[succ].labels.push_back(lbl);
+          lines[succ].labels.push_back(lbl);
         }
         AsmLine jmp;
         jmp.mnemonic = "j";
@@ -264,21 +187,21 @@ PostPassReport runPostPass(const std::string& asmText) {
       // repair point).
       std::size_t joinIdx = end;
       for (std::size_t i = start; i < end; ++i)
-        if (p.lines[i].mnemonic == "join") joinIdx = i;
+        if (lines[i].mnemonic == "join") joinIdx = i;
       if (joinIdx == end)
         fail(DiagCode::kPostPassMissingJoin, spawnLine,
              "spawn region without a join", regionLbl);
 
       // Give the join a label and make the preceding fall-through explicit.
       std::string joinLbl;
-      if (!p.lines[joinIdx].labels.empty()) {
-        joinLbl = p.lines[joinIdx].labels[0];
+      if (!lines[joinIdx].labels.empty()) {
+        joinLbl = lines[joinIdx].labels[0];
       } else {
         joinLbl = "__pp_join" + std::to_string(fixLabelCounter++);
-        p.lines[joinIdx].labels.push_back(joinLbl);
+        lines[joinIdx].labels.push_back(joinLbl);
       }
       std::vector<AsmLine> insertion;
-      if (joinIdx > start && !endsFlow(p.lines[joinIdx - 1].mnemonic)) {
+      if (joinIdx > start && !endsFlow(lines[joinIdx - 1].mnemonic)) {
         AsmLine jmp;
         jmp.mnemonic = "j";
         jmp.operands.push_back(joinLbl);
@@ -289,32 +212,28 @@ PostPassReport runPostPass(const std::string& asmText) {
       // Remove the misplaced run (careful with index shifts): remove first
       // if it sits after the join, then insert.
       if (runBegin > joinIdx) {
-        p.lines.erase(p.lines.begin() + static_cast<std::ptrdiff_t>(runBegin),
-                      p.lines.begin() +
-                          static_cast<std::ptrdiff_t>(runEnd + 1));
-        p.lines.insert(p.lines.begin() + static_cast<std::ptrdiff_t>(joinIdx),
-                       insertion.begin(), insertion.end());
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(runBegin),
+                    lines.begin() + static_cast<std::ptrdiff_t>(runEnd + 1));
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(joinIdx),
+                     insertion.begin(), insertion.end());
       } else {
         // Misplaced run before the region: insert first, then remove.
-        p.lines.insert(p.lines.begin() + static_cast<std::ptrdiff_t>(joinIdx),
-                       insertion.begin(), insertion.end());
-        p.lines.erase(p.lines.begin() + static_cast<std::ptrdiff_t>(runBegin),
-                      p.lines.begin() +
-                          static_cast<std::ptrdiff_t>(runEnd + 1));
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(joinIdx),
+                     insertion.begin(), insertion.end());
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(runBegin),
+                    lines.begin() + static_cast<std::ptrdiff_t>(runEnd + 1));
       }
       ++report.relocatedBlocks;
 
       // Rebuild the label index and region bounds, then re-verify.
-      p.labelAt.clear();
-      for (std::size_t i = 0; i < p.lines.size(); ++i)
-        for (const auto& lbl : p.lines[i].labels) p.labelAt[lbl] = i;
+      labelAt = labelIndex(lines);
       // This spawn line may have moved.
-      for (std::size_t i = 0; i < p.lines.size(); ++i)
-        if (p.lines[i].mnemonic == "spawn" &&
-            p.lines[i].operands == p.lines[si].operands)
+      for (std::size_t i = 0; i < lines.size(); ++i)
+        if (lines[i].mnemonic == "spawn" &&
+            lines[i].operands == lines[si].operands)
           si = i;
-      start = p.labelAt.at(p.lines[si].operands[0]);
-      end = p.labelAt.at(p.lines[si].operands[1]);
+      start = labelAt.at(lines[si].operands[0]);
+      end = labelAt.at(lines[si].operands[1]);
     }
   }
 
@@ -327,9 +246,9 @@ PostPassReport runPostPass(const std::string& asmText) {
   if (const char* inject = std::getenv("XMT_XMTSMITH_INJECT")) {
     const std::string kind = inject;
     std::vector<AsmLine> out;
-    out.reserve(p.lines.size());
+    out.reserve(lines.size());
     std::vector<std::string> carry;  // labels of deleted lines move forward
-    for (const auto& l : p.lines) {
+    for (const auto& l : lines) {
       if (kind == "drop-fence" && l.mnemonic == "fence") {
         carry.insert(carry.end(), l.labels.begin(), l.labels.end());
         continue;
@@ -349,10 +268,10 @@ PostPassReport runPostPass(const std::string& asmText) {
     if (!carry.empty() && !out.empty())
       out.back().labels.insert(out.back().labels.end(), carry.begin(),
                                carry.end());
-    p.lines = std::move(out);
+    lines = std::move(out);
   }
 
-  report.asmText = p.render();
+  report.asmText = render(lines);
   return report;
 }
 

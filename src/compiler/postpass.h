@@ -7,7 +7,9 @@
 // TCUs. A basic block that is reachable from the spawn-block entry but laid
 // out outside the region is relocated to just before the join, with an
 // explicit jump inserted so the preceding code still reaches the join
-// (Fig. 9b).
+// (Fig. 9b). The text is read with the assembler's tokenizer (tokenizeAsm),
+// so the post-pass accepts exactly the syntax `assemble` does; the output
+// is re-rendered one label or statement per line, without comments.
 #pragma once
 
 #include <string>

@@ -4,7 +4,6 @@
 #include <exception>
 #include <sstream>
 
-#include "src/assembler/assembler.h"
 #include "src/campaign/spec.h"
 #include "src/compiler/analysis/asmverify.h"
 #include "src/core/toolchain.h"
@@ -151,13 +150,13 @@ DiffOutcome runDiffSource(const std::string& source, const Oracle* oracle,
       copts.optLevel = opt;
       copts.outline = opts.outline;
       copts.werrorAsm = opts.werrorAsm;
+      CompileResult cres = compileXmtc(source, copts);
       if (opts.fenceOracle) {
-        CompileResult cres = compileXmtc(source, copts);
         analysis::AsmVerifyOptions vo;
         vo.strictSpawnFence = true;
         bool fenceFinding = false;
         for (const Diagnostic& d :
-             analysis::verifyAssembly(cres.asmText, vo)) {
+             analysis::verifyAssembly(cres.program, vo)) {
           if (d.code != DiagCode::kAsmMissingFence &&
               d.code != DiagCode::kAsmSwnbAtJoin)
             continue;
@@ -165,10 +164,8 @@ DiffOutcome runDiffSource(const std::string& source, const Oracle* oracle,
           fenceFinding = true;
         }
         if (fenceFinding) continue;  // execution legs cannot observe it
-        program = assemble(cres.asmText);
-      } else {
-        program = compileToProgram(source, copts);
       }
+      program = std::move(cres.program);
     } catch (const std::exception& e) {
       out.mismatches.push_back({"compile-error", opt, "", e.what()});
       continue;

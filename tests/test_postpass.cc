@@ -105,6 +105,28 @@ Le:
   EXPECT_TRUE(sim.run().halted);
 }
 
+TEST(PostPass, ReadsLabelsAndCommentsAsTheAssemblerDoes) {
+  // The post-pass reads assembly with the assembler's tokenizer, so it
+  // accepts every form `assemble` does: a space before a label's colon,
+  // and ';' comments after the spawn operands and after a label.
+  auto accepted = [](const std::string& regionEntry) {
+    std::string src =
+        ".text\nmain:\n  li t0, 0\n  mtgr t0, gr6\n  li t1, 3\n"
+        "  mtgr t1, gr7\n" +
+        regionEntry + "  add t2, tid, tid\n  join\nLe:\n  halt\n";
+    SCOPED_TRACE(src);
+    assemble(src);  // throws if the assembler rejects the input
+    PostPassReport rep;
+    ASSERT_NO_THROW(rep = runPostPass(src));
+    EXPECT_EQ(rep.regionsChecked, 1);
+    Simulator sim(assemble(rep.asmText), XmtConfig::fpga64(),
+                  SimMode::kCycleAccurate);
+    EXPECT_TRUE(sim.run().halted);
+  };
+  accepted("  spawn Ls, Le\nLs :\n");
+  accepted("  spawn Ls, Le ; broadcast [Ls, Le)\nLs: ; region entry\n");
+}
+
 TEST(PostPass, MultipleRegionsChecked) {
   const char* src = R"(
 .text

@@ -2,8 +2,14 @@
 // user programs against.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+#include <vector>
+
+#include "src/assembler/assembler.h"
 #include "src/common/error.h"
 #include "src/core/toolchain.h"
+#include "src/workloads/registry.h"
 
 namespace xmt {
 namespace {
@@ -60,6 +66,44 @@ TEST(Toolchain, BuildProducesLoadableProgram) {
   Simulator s2(p, XmtConfig::chip1024(), SimMode::kFunctional);
   EXPECT_EQ(s1.run().haltCode, 42);
   EXPECT_EQ(s2.run().haltCode, 42);
+}
+
+// compileXmtc assembles its final text once and carries the image. It must
+// be exactly the Program that text assembles to, so that srcLine (traces,
+// race reports, verifier lines) indexes the lines of asmText.
+TEST(Toolchain, CarriedProgramIsTheAssembledText) {
+  auto insns = [](const Program& p) {
+    std::vector<std::tuple<Op, int, int, int, int, int, int>> v;
+    for (const Instruction& i : p.text)
+      v.emplace_back(i.op, i.rd, i.rs, i.rt, i.imm, i.imm2, i.srcLine);
+    return v;
+  };
+  auto syms = [](const Program& p) {
+    std::map<std::string, std::tuple<std::uint32_t, std::uint32_t, bool, bool>>
+        m;
+    for (const auto& [name, s] : p.symbols)
+      m[name] = {s.addr, s.size, s.isText, s.isGlobal};
+    return m;
+  };
+  CompilerOptions noOpt, noPostPass, noVerify;
+  noOpt.optLevel = 0;
+  noPostPass.postPass = false;
+  noPostPass.layoutQuirk = false;
+  noVerify.verifyAsm = false;
+  const CompilerOptions optionSets[] = {{}, noOpt, noPostPass, noVerify};
+  for (const auto& entry : workloads::workloadRegistry()) {
+    std::string src = workloads::instanceSource({entry.name, ConfigMap()});
+    for (const CompilerOptions& opts : optionSets) {
+      SCOPED_TRACE(entry.name + ", option set " +
+                   std::to_string(&opts - optionSets));
+      CompileResult r = compileXmtc(src, opts);
+      Program want = assemble(r.asmText);
+      EXPECT_EQ(insns(r.program), insns(want));
+      EXPECT_EQ(r.program.data, want.data);
+      EXPECT_EQ(syms(r.program), syms(want));
+      EXPECT_EQ(r.program.entry, want.entry);
+    }
+  }
 }
 
 TEST(Toolchain, MemoryMapInputThroughSimulator) {
