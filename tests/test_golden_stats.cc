@@ -16,6 +16,8 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "src/assembler/assembler.h"
 #include "src/common/digest.h"
 #include "src/core/toolchain.h"
+#include "src/sim/plugins.h"
 #include "src/workloads/kernels.h"
 
 namespace xmt {
@@ -90,6 +93,31 @@ struct GoldenCase {
   std::vector<std::pair<std::string, std::vector<std::int32_t>>> inputs;
   const char* expected;
   bool isAssembly = false;  // `source` is XMT assembly, not XMTC
+  // Optional set-up for paths a plain run does not reach: `configure` edits
+  // the machine before the simulator is built, `attach` runs on the built
+  // simulator (e.g. to add an activity plug-in), and a non-zero
+  // `sliceCycles` runs in run(sliceCycles) chunks resumed to halt.
+  std::function<void(XmtConfig&)> configure = nullptr;
+  std::function<void(Simulator&)> attach = nullptr;
+  std::uint64_t sliceCycles = 0;
+};
+
+// Retunes clock domains mid-run: each call moves one cluster (round robin)
+// between its configured frequency and 60% of it, and toggles the ICN
+// between 75% and 100% of its configured frequency.
+class RetuneClocks : public ActivityPlugin {
+ public:
+  void onInterval(RuntimeControl& rc) override {
+    const XmtConfig& cfg = rc.config();
+    int cluster = calls_ % cfg.clusters;
+    bool slow = (calls_ / cfg.clusters) % 2 == 0;
+    rc.setClusterFrequency(cluster, slow ? cfg.coreGhz * 0.6 : cfg.coreGhz);
+    rc.setIcnFrequency(calls_ % 2 == 0 ? cfg.icnGhz * 0.75 : cfg.icnGhz);
+    ++calls_;
+  }
+
+ private:
+  int calls_ = 0;
 };
 
 // Master TCU and read-only-cache paths that the compiled kernels do not
@@ -162,6 +190,7 @@ TEST_P(GoldenStats, MatchesSeedEngine) {
       goldenCases()[static_cast<std::size_t>(GetParam())];
   ToolchainOptions opts;
   opts.config = XmtConfig::byName(gc.configName);
+  if (gc.configure) gc.configure(opts.config);
   opts.mode = SimMode::kCycleAccurate;
   Toolchain tc(opts);
   auto sim = gc.isAssembly
@@ -169,7 +198,11 @@ TEST_P(GoldenStats, MatchesSeedEngine) {
                                                opts.config, opts.mode)
                  : tc.makeSimulator(gc.source);
   for (const auto& [name, data] : gc.inputs) sim->setGlobalArray(name, data);
-  RunResult r = sim->run();
+  if (gc.attach) gc.attach(*sim);
+  RunResult r;
+  do {
+    r = sim->run(gc.sliceCycles);
+  } while (!r.halted && gc.sliceCycles > 0);
   std::string dump = canonicalStats(r, sim->stats());
   if (std::getenv("XMT_PRINT_GOLDEN") != nullptr) {
     printf("=== GOLDEN %s ===\n%s=== END %s ===\n", gc.name, dump.c_str(),
@@ -361,6 +394,55 @@ op: 0:48 13:4 14:5 44:33 45:1 46:3 47:1 49:32 50:32 51:1 53:17 54:2 56:1 57:16 5
 fu: 0:57 5:103 6:19 7:18
 clusters=8 sum=176/48/0/0/64/92 hash=0xeadf964a5583dd41
 )gold", true});
+    // An activity plug-in sampling every 5 cycles retunes cluster and ICN
+    // clocks throughout a spawn.
+    GoldenCase retune{"histogramRetuneClocks", "fpga64",
+                      workloads::histogramSource(128, 8), {{"A", histIn}},
+                      R"gold(halted=1 code=0
+instructions=1674 spawns=1 vthreads=128
+cycles=301 simTime=4013233
+cache=108/17 dram=17 master=0/0 ro=0/0 pb=0
+icn=257 memWait=8532 ps=0 psm=128 swnb=0
+op: 0:256 1:1 13:129 14:256 15:385 16:256 41:1 42:1 44:128 45:1 53:128 54:2 56:1 57:128 58:1
+fu: 0:1027 1:256 2:2 5:129 6:130 7:130
+clusters=8 sum=1664/1280/0/0/256/541 hash=0xf55a8c04b7dea562
+)gold"};
+    retune.attach = [](Simulator& sim) {
+      sim.addActivityPlugin(std::make_unique<RetuneClocks>(), 5);
+    };
+    cases.push_back(std::move(retune));
+    // A serial program run in 97-cycle budgets, resumed until it halts.
+    GoldenCase sliced{"serialSum256Sliced", "fpga64",
+                      workloads::serialSumSource(256),
+                      {{"A", ramp(256, 3, 1)}},
+                      R"gold(halted=1 code=0
+instructions=2825 spawns=0 vthreads=0
+cycles=4315 simTime=57531895
+cache=0/32 dram=32 master=224/32 ro=0/0 pb=0
+icn=33 memWait=1280 ps=0 psm=0 swnb=1
+op: 0:512 1:256 13:259 14:257 15:513 16:256 36:257 40:257 44:256 46:1 58:1
+fu: 0:1797 1:256 2:514 5:257 7:1
+clusters=8 sum=0/0/0/0/0/0 hash=0x55fdcdeee4c49583
+)gold"};
+    sliced.sliceCycles = 97;
+    cases.push_back(std::move(sliced));
+    // The asynchronous interconnect: continuous-time delivery, no return
+    // ports.
+    auto asyncIn = ramp(256, 5, 1);
+    for (auto& v : asyncIn) v &= 15;
+    GoldenCase async{"histogramAsyncIcnChip1024", "chip1024",
+                     workloads::histogramSource(256, 16), {{"A", asyncIn}},
+                     R"gold(halted=1 code=0
+instructions=3338 spawns=1 vthreads=256
+cycles=410 simTime=315290
+cache=0/34 dram=34 master=0/0 ro=0/0 pb=0
+icn=513 memWait=82673 ps=0 psm=256 swnb=0
+op: 0:512 1:1 13:257 14:512 15:769 16:512 41:1 42:1 44:256 45:1 53:256 54:2 56:1 57:256 58:1
+fu: 0:2051 1:512 2:2 5:257 6:258 7:258
+clusters=64 sum=3328/2560/0/0/512/620 hash=0xd6c5725df385f1c5
+)gold"};
+    async.configure = [](XmtConfig& cfg) { cfg.icnAsync = true; };
+    cases.push_back(std::move(async));
     return cases;
   }();
   return kCases;
