@@ -13,12 +13,17 @@
 // Expected shape: computation-intensive instruction throughput is far above
 // memory-intensive (the interconnection-network model dominates memory
 // instructions); serial cycle/s is far above parallel cycle/s.
+//
+// Each row is one wall-clock-timed run() repeated kRepetitions times; the
+// median aggregate is the row's result (mean, stddev and cv show the spread).
 #include "bench/bench_util.h"
 #include "src/workloads/kernels.h"
 
 namespace {
 
 using xmt::benchutil::timedRun;
+
+constexpr int kRepetitions = 7;
 
 void report(benchmark::State& state, const std::string& src) {
   xmt::XmtConfig cfg = xmt::XmtConfig::chip1024();
@@ -54,10 +59,15 @@ void BM_SerialComputeIntensive(benchmark::State& state) {
   report(state, xmt::workloads::serCompSource(30000));
 }
 
-BENCHMARK(BM_ParallelMemoryIntensive)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_ParallelComputeIntensive)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_SerialMemoryIntensive)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_SerialComputeIntensive)->UseManualTime()->Iterations(1);
+void repeated(benchmark::internal::Benchmark* b) {
+  b->UseManualTime()->Iterations(1)->Repetitions(kRepetitions)
+      ->ReportAggregatesOnly(true);
+}
+
+BENCHMARK(BM_ParallelMemoryIntensive)->Apply(repeated);
+BENCHMARK(BM_ParallelComputeIntensive)->Apply(repeated);
+BENCHMARK(BM_SerialMemoryIntensive)->Apply(repeated);
+BENCHMARK(BM_SerialComputeIntensive)->Apply(repeated);
 
 }  // namespace
 

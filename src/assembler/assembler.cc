@@ -149,6 +149,22 @@ std::int64_t parseIntValue(const std::string& s, int lineno) {
   return v;
 }
 
+// The boundary of `.align n`: 2^n bytes. n is limited to [0, 16]: a shift
+// by a negative n or one of 32 or more is undefined, and an alignment past
+// 64 KiB would only pad the data segment.
+constexpr std::int64_t kMaxAlignLog2 = 16;
+
+std::uint32_t alignBoundary(const AsmLine& line) {
+  if (line.operands.size() != 1)
+    throw AsmError(line.number, ".align needs one operand");
+  auto n = parseIntValue(line.operands[0], line.number);
+  if (n < 0 || n > kMaxAlignLog2)
+    throw AsmError(line.number, ".align exponent " + std::to_string(n) +
+                                    " is outside [0, " +
+                                    std::to_string(kMaxAlignLog2) + "]");
+  return 1u << n;
+}
+
 std::uint32_t parseWordValue(const std::string& s, int lineno) {
   if (!s.empty() && (s.back() == 'f' || s.back() == 'F') &&
       s.find('.') != std::string::npos) {
@@ -272,10 +288,7 @@ class AssemblerImpl {
       return static_cast<std::uint32_t>(n);
     }
     if (d == ".align") {
-      if (line.operands.size() != 1)
-        throw AsmError(line.number, ".align needs one operand");
-      auto n = parseIntValue(line.operands[0], line.number);
-      std::uint32_t a = 1u << n;
+      std::uint32_t a = alignBoundary(line);
       std::uint32_t aligned = (dataAddr + a - 1) & ~(a - 1);
       return aligned - dataAddr;
     }
@@ -365,8 +378,7 @@ class AssemblerImpl {
       dataAddr += static_cast<std::uint32_t>(
           parseIntValue(line.operands[0], line.number));
     } else if (d == ".align") {
-      auto n = parseIntValue(line.operands[0], line.number);
-      std::uint32_t a = 1u << n;
+      std::uint32_t a = alignBoundary(line);
       dataAddr = (dataAddr + a - 1) & ~(a - 1);
     } else if (d == ".asciiz") {
       std::string s = parseStringLiteral(line.operands[0], line.number);

@@ -10,7 +10,7 @@
 //   .word v, v, ...        emit 32-bit words (values or symbol names)
 //   .float v, v, ...       emit 32-bit IEEE-754 floats
 //   .space n               reserve n zero bytes
-//   .align n               align to 2^n bytes
+//   .align n               align to 2^n bytes (0 <= n <= 16)
 //   .asciiz "text"         NUL-terminated string with C escapes
 //
 // Pseudo-instructions expanded by the assembler: b, beqz, bnez, neg, not.

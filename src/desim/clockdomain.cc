@@ -49,13 +49,6 @@ void ClockDomain::setEnabled(bool enabled, SimTime now) {
   }
 }
 
-SimTime ClockDomain::nextEdge(SimTime t) const {
-  if (t < anchorTime_) t = anchorTime_;
-  SimTime delta = t - anchorTime_;
-  SimTime k = delta / period_ + 1;
-  return anchorTime_ + k * period_;
-}
-
 SimTime ClockDomain::edgeAfter(SimTime t, std::int64_t n) const {
   XMT_CHECK(n >= 0);
   return nextEdge(t) + n * period_;

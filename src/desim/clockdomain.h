@@ -40,7 +40,10 @@ class ClockDomain {
   bool enabled() const { return enabled_; }
 
   /// First edge strictly after `t`.
-  SimTime nextEdge(SimTime t) const;
+  SimTime nextEdge(SimTime t) const {
+    if (t < anchorTime_) t = anchorTime_;
+    return anchorTime_ + ((t - anchorTime_) / period_ + 1) * period_;
+  }
 
   /// Edge `n` cycles after the first edge strictly after `t` (n >= 0).
   SimTime edgeAfter(SimTime t, std::int64_t n) const;

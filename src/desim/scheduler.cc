@@ -29,6 +29,7 @@ void Scheduler::cancelStops() {
 }
 
 bool Scheduler::step() {
+  limit_ = -1;  // one event exactly: no in-place advance
   if (events_.empty()) return false;
   EventQueue::Fired e = events_.pop();
   now_ = e.time;
@@ -38,27 +39,21 @@ bool Scheduler::step() {
   return true;
 }
 
-bool Scheduler::run() {
-  while (!events_.empty()) {
-    EventQueue::Fired e = events_.pop();
-    now_ = e.time;
-    if (e.actor == nullptr) return true;  // stop event
-    ++processed_;
-    e.actor->notify(now_);
-  }
-  return false;
-}
-
 bool Scheduler::runUntil(SimTime limit) {
-  while (!events_.empty()) {
-    if (events_.headTime() > limit) return false;
+  limit_ = limit;
+  bool stopped = false;
+  while (!events_.empty() && events_.headTime() <= limit) {
     EventQueue::Fired e = events_.pop();
     now_ = e.time;
-    if (e.actor == nullptr) return true;  // stop event
+    if (e.actor == nullptr) {  // stop event
+      stopped = true;
+      break;
+    }
     ++processed_;
     e.actor->notify(now_);
   }
-  return false;
+  limit_ = -1;
+  return stopped;
 }
 
 }  // namespace xmt

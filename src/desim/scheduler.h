@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,7 @@ class Scheduler {
 
   /// Processes events until the stop event fires or the list drains.
   /// Returns true if stopped by a stop event, false if the list drained.
-  bool run();
+  bool run() { return runUntil(std::numeric_limits<SimTime>::max()); }
 
   /// Processes events with time <= `limit` (and not past a stop event).
   bool runUntil(SimTime limit);
@@ -81,6 +82,19 @@ class Scheduler {
   /// Processes a single event. Returns false if the list is empty or the
   /// next event is a stop event (which is consumed).
   bool step();
+
+  /// Lets the actor being notified take its next event at `t` in place,
+  /// without a push and a pop. Allowed only inside run()/runUntil(), for a
+  /// `t` within their limit, when no pending event is at or before `t`: the
+  /// skipped event is then exactly the one pop() would return next. On
+  /// success now() becomes `t` and the event counts as processed.
+  bool tryAdvance(SimTime t) {
+    if (t > limit_ || (!events_.empty() && events_.headTime() <= t))
+      return false;
+    now_ = t;
+    ++processed_;
+    return true;
+  }
 
   SimTime now() const { return now_; }
 
@@ -92,6 +106,7 @@ class Scheduler {
   EventQueue events_;
   std::vector<EventQueue::Handle> stops_;  // pending (or consumed) stops
   SimTime now_ = 0;
+  SimTime limit_ = -1;  // latest time tryAdvance() may reach; -1 = none
   std::uint64_t processed_ = 0;
 };
 

@@ -17,6 +17,12 @@
 // call with nothing to do): a wake and the work it announced can land on
 // the same edge. The pinned Stats in tests/test_golden_stats.cc hold this
 // behavior down.
+//
+// Inline self-ticks: when tick() asks for another edge, nothing else is due
+// at or before it, and no wake arrived during the tick, notify() runs the
+// next tick in place (Scheduler::tryAdvance) instead of scheduling an event
+// and popping it straight back. The ticks, their times and their order are
+// exactly those of the queued path; only the event-queue round trip goes.
 #pragma once
 
 #include "src/desim/clockdomain.h"
@@ -34,22 +40,23 @@ class TickingActor : public Actor {
         priority_(priority) {}
 
   /// Ensures the actor is notified at the first clock edge at or after `t`.
-  void wakeAt(SimTime t) {
-    SimTime edge = clock_.nextEdge(t - 1);  // first edge >= t
-    if (edge < sched_.now()) edge = clock_.nextEdge(sched_.now() - 1);
-    if (pending_ >= 0 && pending_ <= edge) return;  // already covered
-    if (pending_ >= 0) sched_.cancel(handle_);      // supersede the later wake
-    pending_ = edge;
-    handle_ = sched_.scheduleCancellable(this, edge, priority_);
-  }
+  void wakeAt(SimTime t) { wakeAtEdge(edgeFor(t)); }
 
   /// Ensures the actor runs on the next clock edge strictly after `now`.
   void wakeNextCycle(SimTime now) { wakeAt(clock_.nextEdge(now)); }
 
   void notify(SimTime now) final {
     pending_ = -1;
-    SimTime next = tick(now);
-    if (next >= 0) wakeAt(next);
+    for (SimTime next = tick(now); next >= 0; next = tick(now)) {
+      SimTime edge = edgeFor(next);
+      // A wake taken during the tick already holds an event; otherwise the
+      // next tick runs in place when nothing else is due first.
+      if (pending_ >= 0 || !sched_.tryAdvance(edge)) {
+        wakeAtEdge(edge);
+        return;
+      }
+      now = edge;
+    }
   }
 
   ClockDomain& clock() { return clock_; }
@@ -62,6 +69,20 @@ class TickingActor : public Actor {
   virtual SimTime tick(SimTime now) = 0;
 
  private:
+  // The first clock edge at or after `t`, and never before now().
+  SimTime edgeFor(SimTime t) const {
+    SimTime edge = clock_.nextEdge(t - 1);
+    if (edge < sched_.now()) edge = clock_.nextEdge(sched_.now() - 1);
+    return edge;
+  }
+
+  void wakeAtEdge(SimTime edge) {
+    if (pending_ >= 0 && pending_ <= edge) return;  // already covered
+    if (pending_ >= 0) sched_.cancel(handle_);      // supersede the later wake
+    pending_ = edge;
+    handle_ = sched_.scheduleCancellable(this, edge, priority_);
+  }
+
   Scheduler& sched_;
   ClockDomain& clock_;
   int priority_;

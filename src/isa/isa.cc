@@ -9,7 +9,7 @@
 
 namespace xmt {
 
-namespace {
+namespace detail {
 
 constexpr std::array<OpInfo, kNumOps> kOpTable = {{
     {"add", OpFormat::kR3, FuKind::kAlu},
@@ -75,6 +75,10 @@ constexpr std::array<OpInfo, kNumOps> kOpTable = {{
     {"nop", OpFormat::kNone, FuKind::kControl},
 }};
 
+}  // namespace detail
+
+namespace {
+
 constexpr std::array<std::string_view, kNumRegs> kRegNames = {
     "zero", "at", "v0", "v1", "a0", "a1", "a2", "a3",
     "t0",   "t1", "t2", "t3", "t4", "t5", "t6", "t7",
@@ -83,14 +87,9 @@ constexpr std::array<std::string_view, kNumRegs> kRegNames = {
 
 }  // namespace
 
-const OpInfo& opInfo(Op op) {
-  XMT_CHECK(op < Op::kOpCount);
-  return kOpTable[static_cast<std::size_t>(op)];
-}
-
 Op opByName(std::string_view name) {
   for (int i = 0; i < kNumOps; ++i)
-    if (kOpTable[static_cast<std::size_t>(i)].name == name)
+    if (detail::kOpTable[static_cast<std::size_t>(i)].name == name)
       return static_cast<Op>(i);
   return Op::kOpCount;
 }

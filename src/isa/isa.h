@@ -24,9 +24,12 @@
 //   r31 ra        return address
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
+
+#include "src/common/error.h"
 
 namespace xmt {
 
@@ -121,8 +124,15 @@ struct OpInfo {
   FuKind fu;
 };
 
+namespace detail {
+extern const std::array<OpInfo, kNumOps> kOpTable;
+}  // namespace detail
+
 /// Lookup table entry for `op`. Never fails for valid enum values.
-const OpInfo& opInfo(Op op);
+inline const OpInfo& opInfo(Op op) {
+  XMT_CHECK(op < Op::kOpCount);
+  return detail::kOpTable[static_cast<std::size_t>(op)];
+}
 
 /// Finds an opcode by mnemonic; returns kOpCount if unknown.
 Op opByName(std::string_view name);

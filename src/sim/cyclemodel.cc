@@ -1,7 +1,8 @@
 #include "src/sim/cyclemodel.h"
 
+#include <algorithm>
+#include <bit>
 #include <map>
-#include <set>
 
 #include "src/common/error.h"
 #include "src/desim/port.h"
@@ -78,13 +79,16 @@ struct TcuState {
   // The fence wait ends in the owner's continuation (the cluster's
   // join -> dispatch, the master's halt), not in a resume.
   bool drainPending = false;
-  std::multiset<std::uint32_t> storeAddrs;  // word-aligned, in flight
+  // Word-aligned addresses of the in-flight non-blocking stores, one entry
+  // per store (a word stored twice appears twice), in no particular order.
+  std::vector<std::uint32_t> storeAddrs;
 
   // XMT memory-model rule 1: same-source same-address operations are never
   // reordered, so a load must not overtake this TCU's own in-flight
   // non-blocking store to the same word.
   bool storeInFlight(std::uint32_t addr) const {
-    return storeAddrs.count(addr & ~3u) != 0;
+    return std::find(storeAddrs.begin(), storeAddrs.end(), addr & ~3u) !=
+           storeAddrs.end();
   }
 };
 
@@ -159,6 +163,24 @@ struct ModelCore {
 
   SimObserver* observer = nullptr;  // null when the run is unobserved
 
+  // The program text decoded once: each word's step class and functional
+  // unit, which the master and cluster pipelines switch on.
+  struct Decoded {
+    const Instruction* in;
+    FuncModel::StepClass cls;
+    FuKind fu;
+  };
+  std::vector<Decoded> decodedText;  // one entry per Program::text word
+
+  const Decoded& fetch(std::uint32_t pc) const {
+    std::uint32_t i = (pc - kTextBase) / 4;
+    if (pc < kTextBase || pc % 4 != 0 || i >= decodedText.size()) {
+      fm.fetch(pc);  // throws the bad-address SimError
+      throw InternalError("fetch outside the text segment");
+    }
+    return decodedText[i];
+  }
+
   // Spawn hardware state (clusters read spawnStart/spawnEnd only while a
   // spawn is active).
   bool spawnActive = false;
@@ -222,7 +244,7 @@ class TcuActor : public TickingActor {
   /// package. Returns the return port's next delivery edge (-1 when empty).
   template <typename OnResponse>
   SimTime takeResponses(SimTime now, OnResponse&& onResponse) {
-    SimTime next = retPort.drain(now, m_, pkgInbox);
+    SimTime next = retPort.q.empty() ? -1 : retPort.drain(now, m_, pkgInbox);
     while (pkgInbox.ready(now)) {
       Package pkg = pkgInbox.pop(now);
       onResponse(pkg);
@@ -313,7 +335,7 @@ class TcuActor : public TickingActor {
         value = t.ctx.reg(in.rt);
         destReg = 0;
         ++t.outstandingStores;
-        t.storeAddrs.insert(addr & ~3u);
+        t.storeAddrs.push_back(addr & ~3u);
         ++m_.stats.nonBlockingStores;
         break;
       case PkgKind::kPsm:
@@ -355,9 +377,11 @@ class TcuActor : public TickingActor {
       case PkgKind::kStoreNbWord: {
         XMT_CHECK(t.outstandingStores > 0);
         --t.outstandingStores;
-        auto it = t.storeAddrs.find(pkg.addr & ~3u);
+        auto it = std::find(t.storeAddrs.begin(), t.storeAddrs.end(),
+                            pkg.addr & ~3u);
         XMT_CHECK(it != t.storeAddrs.end());
-        t.storeAddrs.erase(it);
+        *it = t.storeAddrs.back();
+        t.storeAddrs.pop_back();
         if (t.phase != Phase::kBlocked || t.wait != WaitKind::kFence ||
             t.outstandingStores != 0)
           return false;
@@ -388,6 +412,8 @@ class ClusterActor : public TcuActor {
   ClusterActor(ModelCore& m, int id, Scheduler& sched, ClockDomain& clk)
       : TcuActor("cluster" + std::to_string(id), m, id, sched, clk),
         roCache_(m.cfg.roCacheLines, 1, m.cfg.cacheLineBytes),
+        pbPolicy_(m.cfg.prefetchPolicy == "lru" ? PbPolicy::kLru
+                                                : PbPolicy::kFifo),
         mduBusy_(static_cast<std::size_t>(m.cfg.mduPerCluster), 0),
         fpuBusy_(static_cast<std::size_t>(m.cfg.fpuPerCluster), 0) {
     tcus_.resize(static_cast<std::size_t>(m.cfg.tcusPerCluster));
@@ -422,29 +448,35 @@ class ClusterActor : public TcuActor {
       handlePsResp(r, now);
     }
 
+    // One pass in round-robin order from rr_, as the ranges [rr_, n) and
+    // [0, rr_). Issuing one TCU never changes another's phase, so each
+    // TCU's contribution to the next wake is final once it has had its turn.
+    SimTime next = rpNext;
     int memSlots = m_.cfg.clusterInjectRate;
     bool anyIssued = false;
+    bool anyRunning = false;
     const int n = static_cast<int>(tcus_.size());
-    for (int i = 0; i < n; ++i) {
-      Tcu& t = tcus_[static_cast<std::size_t>((rr_ + i) % n)];
-      if (t.phase == Phase::kWaitUntil && now >= t.readyAt)
-        t.phase = Phase::kRunning;
-      if (t.phase != Phase::kRunning) continue;
-      if (issueOne(t, (rr_ + i) % n, now, memSlots)) anyIssued = true;
-    }
-    rr_ = (rr_ + 1) % n;
+    auto pass = [&](int begin, int end) {
+      for (int i = begin; i < end; ++i) {
+        Tcu& t = tcus_[static_cast<std::size_t>(i)];
+        if (t.phase == Phase::kWaitUntil && now >= t.readyAt)
+          t.phase = Phase::kRunning;
+        if (t.phase == Phase::kRunning && issueOne(t, i, now, memSlots))
+          anyIssued = true;
+        if (t.phase == Phase::kRunning)
+          anyRunning = true;
+        else if (t.phase == Phase::kWaitUntil)
+          next = earliest(next, t.readyAt);
+      }
+    };
+    pass(rr_, n);
+    pass(0, rr_);
+    if (++rr_ == n) rr_ = 0;
     if (anyIssued)
       ++m_.stats.perCluster[static_cast<std::size_t>(cluster_)].activeCycles;
-
-    // Next wanted time.
-    SimTime next = earliest(rpNext, pkgInbox.nextReadyTime());
+    next = earliest(next, pkgInbox.nextReadyTime());
     next = earliest(next, psInbox.nextReadyTime());
-    for (const Tcu& t : tcus_) {
-      if (t.phase == Phase::kRunning)
-        next = earliest(next, clock().nextEdge(now));
-      else if (t.phase == Phase::kWaitUntil)
-        next = earliest(next, t.readyAt);
-    }
+    if (anyRunning) next = earliest(next, clock().nextEdge(now));
     return next;
   }
 
@@ -462,6 +494,8 @@ class ClusterActor : public TcuActor {
   struct Tcu : TcuState {
     std::vector<PbEntry> pb;
   };
+
+  enum class PbPolicy : std::uint8_t { kFifo, kLru };
 
   void requestDispatch(Tcu& t, int tcuIdx, SimTime now) {
     PsReq req;
@@ -490,7 +524,7 @@ class ClusterActor : public TcuActor {
         victim = &e;
         continue;
       }
-      if (m_.cfg.prefetchPolicy == "lru") {
+      if (pbPolicy_ == PbPolicy::kLru) {
         if (e.lastUse < victim->lastUse) victim = &e;
       } else {  // fifo
         if (e.allocSeq < victim->allocSeq) victim = &e;
@@ -508,12 +542,13 @@ class ClusterActor : public TcuActor {
           "TCU fetched an instruction outside the broadcast spawn region "
           "(pc=0x" + std::to_string(pc) +
           "); mislaid basic block? (cf. paper Fig. 9)");
-    const Instruction& in = m_.fm.fetch(pc);
+    const ModelCore::Decoded& d = m_.fetch(pc);
+    const Instruction& in = *d.in;
     auto& act = m_.stats.perCluster[static_cast<std::size_t>(cluster_)];
 
-    switch (FuncModel::classify(in)) {
+    switch (d.cls) {
       case FuncModel::StepClass::kSimple: {
-        FuKind fu = opInfo(in.op).fu;
+        FuKind fu = d.fu;
         if (fu == FuKind::kMdu || fu == FuKind::kFpu) {
           auto& busy = (fu == FuKind::kMdu) ? mduBusy_ : fpuBusy_;
           int lat = (fu == FuKind::kMdu) ? m_.cfg.mduLatency
@@ -722,6 +757,7 @@ class ClusterActor : public TcuActor {
 
   std::vector<Tcu> tcus_;
   TagCache roCache_;
+  const PbPolicy pbPolicy_;  // cfg.prefetchPolicy, resolved once
   std::vector<SimTime> mduBusy_;
   std::vector<SimTime> fpuBusy_;
   int rr_ = 0;
@@ -790,10 +826,11 @@ class MasterActor : public TcuActor {
  private:
   void issue(SimTime now) {
     const std::uint32_t pc = tcu.ctx.pc;
-    const Instruction& in = m_.fm.fetch(pc);
-    switch (FuncModel::classify(in)) {
+    const ModelCore::Decoded& d = m_.fetch(pc);
+    const Instruction& in = *d.in;
+    switch (d.cls) {
       case FuncModel::StepClass::kSimple: {
-        FuKind fu = opInfo(in.op).fu;
+        FuKind fu = d.fu;
         m_.fm.execSimple(tcu.ctx, in);
         if (fu == FuKind::kMdu)
           stall(tcu, m_.cfg.mduLatency, now);
@@ -949,7 +986,9 @@ class CacheActor : public TickingActor {
   };
 
   CacheActor(ModelCore& m, Scheduler& sched, ClockDomain& clk)
-      : TickingActor("caches", sched, clk), m_(m) {
+      : TickingActor("caches", sched, clk),
+        m_(m),
+        queued_(static_cast<std::size_t>((m.cfg.cacheModules + 63) / 64), 0) {
     mods_.reserve(static_cast<std::size_t>(m.cfg.cacheModules));
     int lines = m.cfg.cacheModuleKB * 1024 / m.cfg.cacheLineBytes;
     for (int i = 0; i < m.cfg.cacheModules; ++i)
@@ -960,6 +999,7 @@ class CacheActor : public TickingActor {
   void inject(const Package& pkg, SimTime readyAt, int module) {
     mods_[static_cast<std::size_t>(module)]->inq.push(readyAt,
                                                       pkg.srcCluster, pkg);
+    queued_[static_cast<std::size_t>(module / 64)] |= 1ull << (module % 64);
     wakeAt(readyAt);
   }
 
@@ -992,19 +1032,27 @@ class CacheActor : public TickingActor {
       for (const Package& waiter : it->second) serve(waiter, now);
       mod.mshr.erase(it);
     }
-    SimTime next = -1;
-    for (std::size_t mi = 0; mi < mods_.size(); ++mi) {
-      Module& mod = *mods_[mi];
-      if (mod.inq.ready(now)) {
-        Package pkg = mod.inq.pop(now);  // one request per module per cycle
-        process(mod, static_cast<int>(mi), pkg, now);
+    // Only modules with queued requests, in ascending module order: the
+    // order of same-time return-port and DRAM pushes depends on it.
+    SimTime next = fillq_.nextReadyTime();
+    bool anyReady = false;
+    for (std::size_t w = 0; w < queued_.size(); ++w) {
+      for (std::uint64_t bits = queued_[w]; bits != 0; bits &= bits - 1) {
+        int mi = static_cast<int>(w) * 64 + std::countr_zero(bits);
+        Module& mod = *mods_[static_cast<std::size_t>(mi)];
+        if (mod.inq.ready(now)) {
+          Package pkg = mod.inq.pop(now);  // one request per module per cycle
+          process(mod, mi, pkg, now);
+        }
+        if (mod.inq.empty())
+          queued_[w] &= ~(1ull << (mi % 64));
+        else if (mod.inq.ready(now))
+          anyReady = true;
+        else
+          next = earliest(next, mod.inq.nextReadyTime());
       }
-      if (mod.inq.ready(now))
-        next = earliest(next, clock().nextEdge(now));
-      else
-        next = earliest(next, mod.inq.nextReadyTime());
     }
-    next = earliest(next, fillq_.nextReadyTime());
+    if (anyReady) next = earliest(next, clock().nextEdge(now));
     return next;
   }
 
@@ -1070,6 +1118,7 @@ class CacheActor : public TickingActor {
 
   ModelCore& m_;
   std::vector<std::unique_ptr<Module>> mods_;
+  std::vector<std::uint64_t> queued_;  // bit per module: inq is non-empty
   TimedQueue<Fill> fillq_;
 };
 
@@ -1228,6 +1277,8 @@ ModelCore::ModelCore(FuncModel& funcModel, const XmtConfig& config,
       cacheClk("cache", config.cacheGhz),
       dramClk("dram", config.dramGhz) {
   cfg.validate();
+  for (const Instruction& in : fm.program().text)
+    decodedText.push_back({&in, FuncModel::classify(in), opInfo(in.op).fu});
   stats.perCluster.assign(static_cast<std::size_t>(cfg.clusters),
                           ClusterActivity{});
 

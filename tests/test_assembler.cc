@@ -187,6 +187,20 @@ TEST(Assembler, AlignDirective) {
   EXPECT_EQ(dataWord(p, "w", 0), 7u);
 }
 
+// `.align n` pads to 2^n bytes for n in [0, 16]; an n outside that range is
+// an AsmError, not an undefined shift or a gigabyte-sized data segment.
+TEST(Assembler, AlignExponentIsRangeChecked) {
+  auto source = [](const std::string& n) {
+    return ".data\nA: .word 1\n.align " + n +
+           "\nB: .word 2\n.text\nmain: halt\n";
+  };
+  Program p = assemble(source("3"));
+  EXPECT_EQ(p.symbol("B").addr, p.symbol("A").addr + 8);
+  EXPECT_EQ(dataWord(p, "B", 0), 2u);
+  EXPECT_THROW(assemble(source("33")), AsmError);
+  EXPECT_THROW(assemble(source("-1")), AsmError);
+}
+
 TEST(MemoryMap, ParseAndApply) {
   Program p = assemble(
       ".data\n"

@@ -5,6 +5,8 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -458,6 +460,187 @@ TEST(EventQueue, StaleHandleAfterBucketReuseIsRejected) {
     }
     EXPECT_TRUE(q.empty());
   }
+}
+
+// --- Inline self-ticks -------------------------------------------------------
+// A TickingActor whose tick() asks for another edge runs that tick in place
+// (Scheduler::tryAdvance) when nothing else is due at or before it. These
+// tests pin that the ticks, their times, their order and the event count are
+// exactly those of the queued path. step() never advances in place, so a run
+// driven by step() is the reference.
+
+using TickLog = std::vector<std::pair<SimTime, std::string>>;
+
+// Logs each notification under its name.
+class LogActor : public Actor {
+ public:
+  LogActor(std::string name, TickLog& log)
+      : Actor(std::move(name)), log_(log) {}
+  void notify(SimTime now) override { log_.emplace_back(now, name()); }
+
+ private:
+  TickLog& log_;
+};
+
+// Ticks on `ticks` consecutive edges of its clock, logging each tick. An
+// optional hook runs inside every tick.
+class SelfTicker : public TickingActor {
+ public:
+  SelfTicker(Scheduler& s, ClockDomain& c, TickLog& log, int ticks)
+      : TickingActor("self", s, c), log_(log), left_(ticks) {}
+  std::function<void(SimTime)> duringTick;
+
+ protected:
+  SimTime tick(SimTime now) override {
+    log_.emplace_back(now, name());
+    if (duringTick) duringTick(now);
+    return --left_ > 0 ? clock().nextEdge(now) : -1;
+  }
+
+ private:
+  TickLog& log_;
+  int left_;
+};
+
+// Drives `s` to the end with run(), or with one step() per event.
+void drain(Scheduler& s, bool stepwise) {
+  if (!stepwise) {
+    s.run();
+    return;
+  }
+  while (s.step()) {
+  }
+}
+
+TEST(InlineTicks, OrderMatchesTheQueuedOrder) {
+  auto scenario = [](bool stepwise, std::uint64_t* processed) {
+    Scheduler s;
+    ClockDomain clk("core", 1.0);
+    TickLog log;
+    SelfTicker self(s, clk, log, 8);  // edges 1000 .. 8000, lane transfer
+    LogActor lower("lower", log), sameLane("sameLane", log),
+        earlier("earlier", log), later("later", log);
+    self.wakeAt(1);
+    s.schedule(&lower, 2000, kPhaseNegotiate);     // same time, lower lane
+    s.schedule(&sameLane, 3000, kPhaseTransfer);  // same lane, earlier seq
+    s.schedule(&earlier, 4500);                   // between two edges
+    s.schedule(&later, 5000, kPhaseRetire);       // same time, higher lane
+    drain(s, stepwise);
+    *processed = s.eventsProcessed();
+    return log;
+  };
+  const TickLog expected = {
+      {1000, "self"},    {2000, "lower"},   {2000, "self"},
+      {3000, "sameLane"}, {3000, "self"},   {4000, "self"},
+      {4500, "earlier"}, {5000, "self"},    {5000, "later"},
+      {6000, "self"},    {7000, "self"},    {8000, "self"}};
+  std::uint64_t inlineCount = 0, queuedCount = 0;
+  EXPECT_EQ(scenario(false, &inlineCount), expected);
+  EXPECT_EQ(scenario(true, &queuedCount), expected);
+  EXPECT_EQ(inlineCount, expected.size());
+  EXPECT_EQ(queuedCount, expected.size());
+}
+
+TEST(InlineTicks, RunUntilNeverTicksPastTheLimit) {
+  Scheduler s;
+  ClockDomain clk("core", 1.0);
+  TickLog log;
+  SelfTicker self(s, clk, log, 100);
+  self.wakeAt(1);
+  EXPECT_FALSE(s.runUntil(5500));
+  ASSERT_EQ(log.size(), 5u);
+  EXPECT_EQ(log.back().first, 5000);
+  EXPECT_EQ(s.now(), 5000);
+  EXPECT_EQ(s.pendingEvents(), 1u);  // the 6000 tick waits in the queue
+  EXPECT_FALSE(s.runUntil(8000));
+  ASSERT_EQ(log.size(), 8u);
+  EXPECT_EQ(log.back().first, 8000);
+  EXPECT_EQ(s.eventsProcessed(), 8u);
+}
+
+TEST(InlineTicks, StepProcessesExactlyOneEvent) {
+  Scheduler s;
+  ClockDomain clk("core", 1.0);
+  TickLog log;
+  SelfTicker self(s, clk, log, 100);
+  self.wakeAt(1);
+  for (std::size_t i = 1; i <= 3; ++i) {
+    EXPECT_TRUE(s.step());
+    EXPECT_EQ(log.size(), i);
+    EXPECT_EQ(s.eventsProcessed(), i);
+    EXPECT_EQ(s.now(), static_cast<SimTime>(i) * 1000);
+    EXPECT_EQ(s.pendingEvents(), 1u);
+  }
+}
+
+TEST(InlineTicks, StopEventEndsTheRunBeforeAnyLaterTick) {
+  Scheduler s;
+  ClockDomain clk("core", 1.0);
+  TickLog log;
+  SelfTicker self(s, clk, log, 100);
+  self.wakeAt(1);
+  s.scheduleStop(3000);  // on an edge: that edge's tick still runs first
+  EXPECT_TRUE(s.run());
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.back().first, 3000);
+  EXPECT_EQ(s.now(), 3000);
+  s.scheduleStop(5500);  // between edges
+  EXPECT_TRUE(s.run());
+  ASSERT_EQ(log.size(), 5u);
+  EXPECT_EQ(log.back().first, 5000);
+  EXPECT_EQ(s.now(), 5500);
+  EXPECT_EQ(s.eventsProcessed(), 5u);
+}
+
+TEST(InlineTicks, EventsProcessedCountsInlineTicks) {
+  for (bool stepwise : {false, true}) {
+    Scheduler s;
+    ClockDomain clk("core", 1.0);
+    TickLog log;
+    SelfTicker self(s, clk, log, 50);
+    self.wakeAt(1);
+    drain(s, stepwise);
+    EXPECT_EQ(log.size(), 50u);
+    EXPECT_EQ(s.eventsProcessed(), 50u) << "stepwise=" << stepwise;
+    EXPECT_EQ(s.now(), 50000);
+  }
+}
+
+// A wake the actor takes during its own tick, for a later edge than the one
+// tick() returns, is superseded exactly as on the queued path: no stale
+// extra tick.
+TEST(InlineTicks, WakeTakenDuringTheTickIsSuperseded) {
+  for (bool stepwise : {false, true}) {
+    Scheduler s;
+    ClockDomain clk("core", 1.0);
+    TickLog log;
+    SelfTicker self(s, clk, log, 2);
+    self.duringTick = [&](SimTime now) {
+      if (now == 1000) self.wakeAt(5000);
+    };
+    self.wakeAt(1);
+    drain(s, stepwise);
+    EXPECT_EQ(log, (TickLog{{1000, "self"}, {2000, "self"}}))
+        << "stepwise=" << stepwise;
+    EXPECT_TRUE(s.empty());
+  }
+}
+
+TEST(InlineTicks, TryAdvanceOnlyInsideRunAndBeforeTheHead) {
+  Scheduler s;
+  RecordingActor pending("pending");
+  EXPECT_FALSE(s.tryAdvance(10));  // outside run(): no limit in force
+  s.schedule(&pending, 500);
+  std::vector<bool> verdicts;
+  LambdaActor probe([&](SimTime) {
+    verdicts.push_back(s.tryAdvance(500));  // the pending event is at 500
+    verdicts.push_back(s.tryAdvance(400));
+  });
+  s.schedule(&probe, 100);
+  EXPECT_FALSE(s.run());
+  EXPECT_EQ(verdicts, (std::vector<bool>{false, true}));
+  EXPECT_EQ(pending.times, (std::vector<SimTime>{500}));
+  EXPECT_EQ(s.eventsProcessed(), 3u);  // probe, its in-place advance, pending
 }
 
 }  // namespace

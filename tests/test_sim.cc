@@ -86,6 +86,17 @@ main:
   EXPECT_THROW(runAsm(src, SimMode::kCycleAccurate), SimError);
 }
 
+// A jump below, beyond or misaligned within the text segment is a SimError
+// in both models.
+TEST(SimSerial, JumpOutsideTheTextTraps) {
+  for (const char* target : {"0", "0x100000", "0x1002"}) {
+    std::string src =
+        std::string(".text\nmain:\n  li t0, ") + target + "\n  jr t0\n";
+    EXPECT_THROW(runAsm(src, SimMode::kFunctional), SimError) << target;
+    EXPECT_THROW(runAsm(src, SimMode::kCycleAccurate), SimError) << target;
+  }
+}
+
 TEST(SimSerial, FloatArithmetic) {
   const char* src = R"(
 .data
