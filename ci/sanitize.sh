@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Build and run the full test suite under AddressSanitizer + UBSan, then the
 # multi-threaded suites (thread pool, campaign runner, simulation server:
-# coalescer, job queue, end to end) under ThreadSanitizer. Separate build
-# trees so the normal build/ stays untouched.
+# result cache and its writer thread, coalescer, job queue, end to end)
+# under ThreadSanitizer. Separate build trees so the normal build/ stays
+# untouched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,4 +24,4 @@ echo "== TSan: thread pool + campaign + server =="
 cmake -B build-tsan -S . -DXMT_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$(nproc)" --target xmt_tests
 ./build-tsan/tests/xmt_tests \
-  --gtest_filter='*ThreadPool*:Campaign.*:Coalescer.*:JobQueue.*:ServerE2E.*'
+  --gtest_filter='*ThreadPool*:Campaign.*:ResultCache.*:Coalescer.*:JobQueue.*:ServerE2E.*'

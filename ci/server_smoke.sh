@@ -52,6 +52,14 @@ cmp "$out/cold.jsonl" "$out/warm.jsonl"
 warm_sims=$(sims)
 test "$warm_sims" -eq "$cold_sims"
 
+echo "== stats report jobs, queue and hot tier =="
+stats=$(./build/examples/xmtq --socket "$sock" stats)
+for field in '"queued_points":' '"jobs":{' '"active":' '"retained":' \
+    '"expired":' '"hit_ratio":' '"hot_entries":' '"hot_bytes":' \
+    '"hot_hits":'; do
+  grep -qF "$field" <<< "$stats" || { echo "stats lacks $field: $stats"; exit 1; }
+done
+
 echo "== clean shutdown =="
 ./build/examples/xmtq --socket "$sock" shutdown
 wait "$daemon_pid"

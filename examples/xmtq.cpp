@@ -111,6 +111,11 @@ int main(int argc, char** argv) {
       }
       if (cmd == "results") {
         auto page = client.results(job);
+        if (page.state == "expired") {
+          std::fprintf(stderr, "xmtq: job %llu expired; resubmit it\n",
+                       static_cast<unsigned long long>(job));
+          return 1;
+        }
         for (const auto& line : page.records)
           std::printf("%s\n", line.c_str());
         return 0;

@@ -1,13 +1,18 @@
 #include "src/campaign/runner.h"
 
 #include <atomic>
+#include <deque>
+#include <memory>
 #include <mutex>
+#include <unordered_map>
 
 #include "src/campaign/report.h"
 #include "src/common/error.h"
 #include "src/common/threadpool.h"
-#include "src/core/toolchain.h"
+#include "src/compiler/driver.h"
+#include "src/sim/simulator.h"
 #include "src/sim/statsjson.h"
+#include "src/workloads/registry.h"
 
 namespace xmt::campaign {
 
@@ -19,17 +24,65 @@ std::uint64_t simulationsExecuted() {
   return g_simulations.load(std::memory_order_relaxed);
 }
 
+namespace {
+
+// Compiled images by XMTC source text. A sweep over seeds, sizes or
+// configurations recompiles the same few sources over and over; the
+// compiler is deterministic, so one image serves them all. Bounded and
+// FIFO; failures are not kept (they re-throw on every call).
+class ProgramMemo {
+ public:
+  static constexpr std::size_t kCapacity = 64;
+
+  std::shared_ptr<const Program> get(const std::string& source) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = programs_.find(source);
+      if (it != programs_.end()) return it->second;
+    }
+    auto program = std::make_shared<const Program>(
+        compileToProgram(source, CompilerOptions{}));
+    std::lock_guard<std::mutex> lock(mu_);
+    if (programs_.emplace(source, program).second) {
+      order_.push_back(source);
+      if (order_.size() > kCapacity) {
+        programs_.erase(order_.front());
+        order_.pop_front();
+      }
+    }
+    return program;
+  }
+
+  void clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    programs_.clear();
+    order_.clear();
+  }
+
+ private:
+  std::mutex mu_;
+  std::unordered_map<std::string, std::shared_ptr<const Program>> programs_;
+  std::deque<std::string> order_;  // insertion order, for eviction
+};
+
+ProgramMemo& programMemo() {
+  static ProgramMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+void clearCompiledPrograms() { programMemo().clear(); }
+
 RunPayload simulatePoint(const CampaignPoint& point) {
   g_simulations.fetch_add(1, std::memory_order_relaxed);
   RunPayload p;
   try {
-    ToolchainOptions opts;
-    opts.config = point.config;
-    opts.mode = point.mode;
-    Toolchain tc(opts);
-    auto sim = tc.makeSimulator(workloads::instanceSource(point.workload));
-    workloads::instancePrepare(point.workload, *sim);
-    RunResult result = sim->run();
+    std::shared_ptr<const Program> program =
+        programMemo().get(workloads::instanceSource(point.workload));
+    Simulator sim(*program, point.config, point.mode);
+    workloads::instancePrepare(point.workload, sim);
+    RunResult result = sim.run();
     if (!result.halted)
       throw SimError("program did not halt (instruction budget exhausted?)");
 
@@ -42,9 +95,14 @@ RunPayload simulatePoint(const CampaignPoint& point) {
     w.set("params", std::move(params));
     w.set("key", Json::str(point.workload.key()));
     j.set("workload", std::move(w));
-    Json run = runRecordJson(point.config, point.mode, result, sim->stats());
+    Json run = runRecordJson(point.config, point.mode, result, sim.stats());
     for (const auto& [k, v] : run.fields()) j.set(k, v);
     p.json = j.dump();
+    const Json& stats = j.at("stats");
+    p.instructions =
+        static_cast<std::uint64_t>(stats.at("instructions").asInt());
+    p.cycles = static_cast<std::uint64_t>(stats.at("cycles").asInt());
+    p.simTimePs = static_cast<std::uint64_t>(stats.at("sim_time_ps").asInt());
     p.ok = true;
   } catch (const Error& e) {
     p.ok = false;
@@ -65,22 +123,23 @@ PointRecord payloadToRecord(const CampaignPoint& point, const RunPayload& p) {
     rec.error = p.error;
     return rec;
   }
-  // Re-parse rather than splice strings: Json parse->dump is byte-stable,
-  // so cached and freshly simulated payloads serialize identically.
-  Json payload = Json::parse(p.json);
-  Json j = Json::object();
-  j.set("point", Json::number(static_cast<std::int64_t>(point.index)));
-  j.set("key", Json::str(point.key));
+  // Splice the grid position onto the canonical payload object: the same
+  // bytes as parsing it and dumping {"point","key","dims",...payload}.
   Json dims = Json::object();
   for (const auto& [name, value] : point.dims) dims.set(name, Json::str(value));
-  j.set("dims", std::move(dims));
-  for (const auto& [k, v] : payload.fields()) j.set(k, v);
-  rec.recordJson = j.dump();
-  const Json& stats = payload.at("stats");
-  rec.instructions =
-      static_cast<std::uint64_t>(stats.at("instructions").asInt());
-  rec.cycles = static_cast<std::uint64_t>(stats.at("cycles").asInt());
-  rec.simTimePs = static_cast<std::uint64_t>(stats.at("sim_time_ps").asInt());
+  std::string& out = rec.recordJson;
+  out.reserve(p.json.size() + point.key.size() + 64);
+  out += "{\"point\":";
+  out += std::to_string(point.index);
+  out += ",\"key\":";
+  out += Json::str(point.key).dump();
+  out += ",\"dims\":";
+  out += dims.dump();
+  if (p.json.size() > 2) out += ',';
+  out.append(p.json, 1);
+  rec.instructions = p.instructions;
+  rec.cycles = p.cycles;
+  rec.simTimePs = p.simTimePs;
   rec.ok = true;
   return rec;
 }

@@ -32,16 +32,28 @@ struct RunPayload {
   /// "stats"}; set when ok. payloadToRecord() turns it back into a full
   /// results.jsonl record byte-identical to an uncached run's.
   std::string json;
+  /// The headline numbers of json's "stats", set with it, so that
+  /// payloadToRecord() never parses json.
+  std::uint64_t instructions = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t simTimePs = 0;
 };
 
 /// Compiles and simulates one point (no cache involved). Never throws —
 /// failures come back as ok=false payloads. Increments the process-wide
-/// simulation counter.
+/// simulation counter. Compiled programs are memoized by source text (a
+/// small bounded memo, default compiler options), so points that differ
+/// only in inputs, sizes passed as data, or configuration compile once.
 RunPayload simulatePoint(const CampaignPoint& point);
 
-/// Re-attaches a payload to its grid position: prefixes {"point","key",
-/// "dims"} and extracts the headline metrics. Pure — a cached payload and
-/// a fresh one produce byte-identical records.
+/// Empties simulatePoint's compiled-program memo, so the next call of
+/// each source compiles afresh.
+void clearCompiledPrograms();
+
+/// Re-attaches a payload to its grid position: splices {"point","key",
+/// "dims"} onto the canonical payload text and copies the headline
+/// metrics. Pure — a cached payload and a fresh one produce
+/// byte-identical records.
 PointRecord payloadToRecord(const CampaignPoint& point, const RunPayload& p);
 
 /// Process-wide count of actual simulations executed (simulatePoint

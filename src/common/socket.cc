@@ -31,8 +31,9 @@ sockaddr_un makeAddr(const std::string& path) {
 UnixConn::~UnixConn() { close(); }
 
 UnixConn::UnixConn(UnixConn&& other) noexcept
-    : fd_(other.fd_), buf_(std::move(other.buf_)) {
+    : fd_(other.fd_), buf_(std::move(other.buf_)), pos_(other.pos_) {
   other.fd_ = -1;
+  other.pos_ = 0;
 }
 
 UnixConn& UnixConn::operator=(UnixConn&& other) noexcept {
@@ -40,7 +41,9 @@ UnixConn& UnixConn::operator=(UnixConn&& other) noexcept {
     close();
     fd_ = other.fd_;
     buf_ = std::move(other.buf_);
+    pos_ = other.pos_;
     other.fd_ = -1;
+    other.pos_ = 0;
   }
   return *this;
 }
@@ -58,12 +61,18 @@ UnixConn UnixConn::connect(const std::string& path) {
 }
 
 bool UnixConn::sendLine(const std::string& line) {
-  if (fd_ < 0) return false;
-  std::string framed = line;
+  std::string framed;
+  framed.reserve(line.size() + 1);
+  framed += line;
   framed += '\n';
+  return sendAll(framed);
+}
+
+bool UnixConn::sendAll(std::string_view bytes) {
+  if (fd_ < 0) return false;
   std::size_t sent = 0;
-  while (sent < framed.size()) {
-    ssize_t n = ::send(fd_, framed.data() + sent, framed.size() - sent,
+  while (sent < bytes.size()) {
+    ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
                        MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -76,22 +85,24 @@ bool UnixConn::sendLine(const std::string& line) {
 
 UnixConn::Recv UnixConn::recvLine(std::string* out, std::size_t maxBytes) {
   bool oversize = false;
+  std::size_t scanned = pos_;  // no '\n' in [pos_, scanned)
   char chunk[65536];
   while (true) {
-    std::size_t nl = buf_.find('\n');
+    std::size_t nl = buf_.find('\n', scanned);
     if (nl != std::string::npos) {
-      if (oversize || nl > maxBytes) {
-        buf_.erase(0, nl + 1);  // discard the too-long line
-        return Recv::kOversize;
-      }
-      out->assign(buf_, 0, nl);
-      buf_.erase(0, nl + 1);
+      std::size_t len = nl - pos_;
+      std::size_t start = pos_;
+      pos_ = nl + 1;
+      if (oversize || len > maxBytes) return Recv::kOversize;  // discarded
+      out->assign(buf_, start, len);
       return Recv::kOk;
     }
-    if (buf_.size() > maxBytes) {
+    scanned = buf_.size();
+    if (buf_.size() - pos_ > maxBytes) {
       // Keep draining until the newline, but stop accumulating.
       oversize = true;
       buf_.clear();
+      pos_ = scanned = 0;
     }
     if (fd_ < 0) return Recv::kEof;
     ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
@@ -100,6 +111,10 @@ UnixConn::Recv UnixConn::recvLine(std::string* out, std::size_t maxBytes) {
       return Recv::kEof;
     }
     if (n == 0) return Recv::kEof;  // a torn trailing line is dropped
+    // Drop the consumed prefix before growing the buffer.
+    buf_.erase(0, pos_);
+    scanned -= pos_;
+    pos_ = 0;
     buf_.append(chunk, static_cast<std::size_t>(n));
   }
 }

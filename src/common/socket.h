@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "src/common/error.h"
 
@@ -44,6 +45,10 @@ class UnixConn {
   /// gone (EPIPE/reset) — never raises SIGPIPE.
   bool sendLine(const std::string& line);
 
+  /// Sends already-framed bytes (one or more '\n'-terminated lines) as
+  /// they are. Same failure behaviour as sendLine.
+  bool sendAll(std::string_view bytes);
+
   enum class Recv { kOk, kEof, kOversize };
 
   /// Reads one '\n'-terminated line (without the terminator) into *out.
@@ -59,7 +64,10 @@ class UnixConn {
 
  private:
   int fd_ = -1;
-  std::string buf_;  // bytes received but not yet returned
+  // Bytes received; those before pos_ have been returned already. The
+  // consumed prefix is dropped once per recv, not once per line.
+  std::string buf_;
+  std::size_t pos_ = 0;
 };
 
 /// Listening socket bound to a filesystem path. Removes a stale socket

@@ -15,19 +15,41 @@
 // produced the numbers. Entries are sharded into 256 directories by the
 // leading key byte to keep directory scans flat at millions of entries.
 //
-// Durability: an entry is written to a temporary file, fsync'd, then
-// renamed into place — readers (including a daemon that was SIGKILLed
-// mid-insert and restarted) only ever see complete entries. Eviction is
-// LRU under a total-size bound; recency survives restarts via file
-// mtimes, which lookups refresh.
+// Two tiers:
+//   hot   — payload bytes and headline numbers in memory, bounded by
+//           kHotShare of the size bound. An insert publishes here at once;
+//           a disk read promotes its entry once. A hot hit is a hash
+//           lookup and a copy: no file I/O, no parse, no dump.
+//   disk  — one file per entry, bounded by `maxBytes`. Eviction walks an
+//           LRU list ordered by last use; the hot tier evicts the same way.
+//
+// Durability (write-behind): insert() hands the entry file to one writer
+// thread, which writes a temporary file, fsyncs it and renames it into
+// place, up to 64 entries at a time (all writes, then all fsyncs, then
+// all renames). A caller never waits for an fsync, only for room in the
+// write queue, which holds at most 1024 entries. An entry is served from memory until it is on
+// disk. A SIGKILL can lose entries not yet renamed into place (they
+// re-simulate) but never leaves a torn entry, and a restart sweeps the
+// leftover temporary files. flush() and the destructor drain the queue.
+//
+// Recency survives restarts via file mtimes. Hits only mark their entry;
+// the writer thread refreshes the marked files' mtimes in batches (every
+// 1024 marks, a second after the first unwritten mark, or at flush), in
+// last-use order.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include "src/campaign/runner.h"
 #include "src/campaign/spec.h"
@@ -35,35 +57,50 @@
 namespace xmt::server {
 
 struct CacheStats {
-  std::uint64_t hits = 0;
+  std::uint64_t hits = 0;      // hot and disk hits
   std::uint64_t misses = 0;
   std::uint64_t inserts = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t bytes = 0;     // current on-disk footprint
+  std::uint64_t bytes = 0;     // on-disk footprint, pending writes included
   std::uint64_t entries = 0;   // current entry count
+  std::uint64_t hotHits = 0;   // hits served without touching the disk
+  std::uint64_t hotBytes = 0;  // payload bytes held in memory
+  std::uint64_t hotEntries = 0;
 };
 
 class ResultCache {
  public:
+  /// The share of `maxBytes` the hot tier may hold (1/kHotShare).
+  static constexpr std::uint64_t kHotShare = 8;
+
   /// Opens (creating if needed) the cache rooted at `root`, scanning any
   /// entries a previous daemon left behind. `maxBytes` bounds the total
   /// on-disk footprint (a single oversized entry is kept regardless, so
   /// the newest result is never thrown away by its own insert).
   ResultCache(std::string root, std::uint64_t maxBytes);
+  /// Drains pending writes and recency, then stops the writer thread.
+  ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Thread-safe. On hit fills *out (ok=true payload) and refreshes the
-  /// entry's recency. A corrupt entry (torn by an unclean shutdown
-  /// predating atomic renames, or bit-rotted) is deleted and reported as
-  /// a miss — it re-simulates instead of poisoning results.
+  /// Thread-safe. On hit fills *out (ok=true payload with its headline
+  /// numbers) and marks the entry used. A corrupt entry file (torn by an
+  /// unclean shutdown predating atomic renames, or bit-rotted) is
+  /// deleted and reported as a miss — it re-simulates instead of
+  /// poisoning results.
   bool lookup(const std::string& key, campaign::RunPayload* out);
 
-  /// Thread-safe. Persists a successful payload under `key` (failed
-  /// payloads are never cached — they re-run, matching the result
-  /// store's retry semantics). Evicts LRU entries beyond the size bound.
+  /// Thread-safe. Publishes a successful payload under `key` to the hot
+  /// tier and queues its entry file for the writer (failed payloads are
+  /// never cached — they re-run, matching the result store's retry
+  /// semantics). Evicts LRU entries beyond the size bound. `payload.json`
+  /// must be canonical Json::dump() text, as simulatePoint() makes it.
   void insert(const std::string& key, const campaign::RunPayload& payload);
+
+  /// Blocks until every insert made so far is on disk and every marked
+  /// entry's recency is written.
+  void flush();
 
   CacheStats stats() const;
   const std::string& root() const { return root_; }
@@ -76,21 +113,58 @@ class ResultCache {
 
  private:
   struct Entry {
-    std::uint64_t size = 0;
+    std::uint64_t size = 0;     // entry file bytes
     std::uint64_t lastUse = 0;  // logical clock; higher = more recent
+    std::uint64_t gen = 0;      // insert that made this entry
+    bool durable = true;        // entry file renamed into place
+    bool marked = false;        // in marked_, recency not yet written
+    std::shared_ptr<const campaign::RunPayload> hot;  // null: disk only
+    std::list<std::string>::iterator lru;     // position in lru_
+    std::list<std::string>::iterator hotLru;  // position in hotLru_
+  };
+  using Index = std::unordered_map<std::string, Entry>;
+
+  struct Write {
+    std::string key;
+    std::uint64_t gen = 0;
+    std::string text;
   };
 
   std::string pathFor(const std::string& key) const;
   void scanExisting();
+  void touchLocked(Entry& e, const std::string& key);
+  void makeHotLocked(Entry& e, const std::string& key,
+                     std::shared_ptr<const campaign::RunPayload> payload);
+  void dropHotLocked(Entry& e);
+  void eraseLocked(Index::iterator it);
   void evictOverflowLocked(const std::string& keep);
+  void trimHotLocked();
+  void writerLoop();
+  void writeRecency(std::unique_lock<std::mutex>& lock);
 
   std::string root_;
   std::uint64_t maxBytes_;
+  std::uint64_t hotMaxBytes_;
   mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;
+  Index entries_;
+  std::list<std::string> lru_;     // every entry, most recent first
+  std::list<std::string> hotLru_;  // hot entries, most recent first
   std::uint64_t bytes_ = 0;
+  std::uint64_t hotBytes_ = 0;
   std::uint64_t useClock_ = 0;
+  std::uint64_t genClock_ = 0;
   CacheStats stats_;
+
+  // Write-behind state, guarded by mu_.
+  std::deque<Write> writes_;
+  std::vector<std::string> marked_;  // keys whose recency is not on disk
+  std::chrono::steady_clock::time_point recencyDue_;  // marked_ written by
+  std::uint64_t flushRequested_ = 0;  // flush() tickets handed out
+  std::uint64_t flushServed_ = 0;     // tickets the writer has drained
+  bool stopping_ = false;
+  std::condition_variable writerCv_;  // wakes the writer
+  std::condition_variable roomCv_;    // queue room / drained, for callers
+  std::thread writer_;
 };
 
 /// In-flight request coalescing: when several jobs need the same cache

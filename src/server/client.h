@@ -22,7 +22,8 @@ struct SubmitResult {
 };
 
 struct StatusResult {
-  std::string state;       // queued | running | done | cancelling | cancelled
+  // queued | running | done | cancelling | cancelled | expired
+  std::string state;
   std::size_t total = 0;
   std::size_t done = 0;
   std::size_t failed = 0;

@@ -1,5 +1,6 @@
 #include "src/server/daemon.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "src/common/error.h"
@@ -12,11 +13,11 @@ Server::Server(ServerOptions opts)
       cache_(opts_.cacheDir, opts_.cacheMaxBytes),
       queue_(opts_.maxQueuedPoints),
       listener_(opts_.socketPath) {
-  int workers =
-      opts_.workers > 0 ? opts_.workers : ThreadPool::hardwareWorkers();
-  pool_ = std::make_unique<ThreadPool>(workers);
-  freeSlots_ = workers + 2;  // small lookahead; queue stays the scheduler
-  dispatchThread_ = std::thread([this] { dispatchLoop(); });
+  int workers = opts_.workers > 0
+                    ? opts_.workers
+                    : static_cast<int>(std::thread::hardware_concurrency());
+  for (int i = 0; i < std::max(workers, 1); ++i)
+    workers_.emplace_back([this] { workerLoop(); });
   acceptThread_ = std::thread([this] { acceptLoop(); });
 }
 
@@ -39,9 +40,9 @@ void Server::stop() {
   conns_.clear();
 
   queue_.stop();
-  if (dispatchThread_.joinable()) dispatchThread_.join();
-  pool_->wait();
-  pool_.reset();
+  for (auto& w : workers_) w.join();
+  workers_.clear();
+  cache_.flush();
 
   shutdownCv_.notify_all();
 }
@@ -171,8 +172,17 @@ void Server::handleLine(const std::string& line, std::uint64_t clientId,
       Json j = okResponse();
       j.set("state", Json::str(state));
       j.set("count", Json::number(static_cast<std::int64_t>(recs.size())));
-      conn.sendLine(j.dump());
-      for (const auto& r : recs) conn.sendLine(r.recordJson);
+      // The header and every record line go out in one send.
+      std::string reply = j.dump();
+      std::size_t bytes = reply.size() + 1;
+      for (const auto& r : recs) bytes += r.recordJson.size() + 1;
+      reply.reserve(bytes);
+      reply += '\n';
+      for (const auto& r : recs) {
+        reply += r.recordJson;
+        reply += '\n';
+      }
+      conn.sendAll(reply);
     } else if (req.cmd == "cancel") {
       bool found = queue_.cancel(
           static_cast<std::uint64_t>(req.body.at("job").asInt()));
@@ -185,13 +195,28 @@ void Server::handleLine(const std::string& line, std::uint64_t clientId,
       c.set("bytes", Json::number(cs.bytes));
       c.set("hits", Json::number(cs.hits));
       c.set("misses", Json::number(cs.misses));
+      c.set("hit_ratio",
+            Json::real(cs.hits + cs.misses == 0
+                           ? 0.0
+                           : static_cast<double>(cs.hits) /
+                                 static_cast<double>(cs.hits + cs.misses)));
       c.set("inserts", Json::number(cs.inserts));
       c.set("evictions", Json::number(cs.evictions));
+      c.set("hot_entries", Json::number(cs.hotEntries));
+      c.set("hot_bytes", Json::number(cs.hotBytes));
+      c.set("hot_hits", Json::number(cs.hotHits));
+      QueueStats qs = queue_.stats();
+      Json jobs = Json::object();
+      jobs.set("active", Json::number(static_cast<std::uint64_t>(qs.activeJobs)));
+      jobs.set("retained",
+               Json::number(static_cast<std::uint64_t>(qs.retainedJobs)));
+      jobs.set("expired", Json::number(qs.expiredJobs));
       Json j = okResponse();
       j.set("simulations", Json::number(campaign::simulationsExecuted()));
       j.set("coalesced", Json::number(coalescer_.coalescedCount()));
       j.set("queued_points",
-            Json::number(static_cast<std::int64_t>(queue_.queuedPoints())));
+            Json::number(static_cast<std::uint64_t>(qs.queuedPoints)));
+      j.set("jobs", std::move(jobs));
       j.set("cache", std::move(c));
       conn.sendLine(j.dump());
     } else if (req.cmd == "shutdown") {
@@ -205,21 +230,9 @@ void Server::handleLine(const std::string& line, std::uint64_t clientId,
   }
 }
 
-void Server::dispatchLoop() {
+void Server::workerLoop() {
   JobTask task;
-  while (queue_.next(&task)) {
-    {
-      std::unique_lock<std::mutex> lock(slotMu_);
-      slotCv_.wait(lock, [this] { return freeSlots_ > 0; });
-      --freeSlots_;
-    }
-    pool_->submit([this, task] {
-      execTask(task);
-      std::lock_guard<std::mutex> lock(slotMu_);
-      ++freeSlots_;
-      slotCv_.notify_one();
-    });
-  }
+  while (queue_.next(&task)) execTask(task);
 }
 
 void Server::execTask(const JobTask& task) {

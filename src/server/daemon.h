@@ -4,14 +4,16 @@
 //
 //   UnixListener  -> accept loop, one lightweight thread per connection
 //                    (protocol parsing only; never simulates)
-//   JobQueue      -> fairness + backpressure between clients
-//   dispatcher    -> pulls tasks from the queue in fair order and feeds
-//                    the work-stealing ThreadPool, keeping at most a few
-//                    tasks in the pool so the queue stays the ordering
-//                    authority
+//   JobQueue      -> fairness + backpressure between clients, bounded
+//                    retention of finished jobs
+//   workers       -> `workers` threads, each blocking in JobQueue::next()
+//                    and running the point it gets, so the queue alone
+//                    decides the order and no hand-off sits between them
 //   ResultCache + Coalescer -> every point is served from the persistent
-//                    content-addressed cache when possible; concurrent
-//                    identical points collapse onto one simulation
+//                    content-addressed cache when possible (a hot hit
+//                    never touches the disk; inserts are written behind
+//                    by the cache's own thread); concurrent identical
+//                    points collapse onto one simulation
 //
 // The daemon is embeddable: tests construct a Server in-process, drive
 // it through real sockets, destroy it, and construct a new one over the
@@ -22,13 +24,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/socket.h"
-#include "src/common/threadpool.h"
 #include "src/server/cache.h"
 #include "src/server/jobqueue.h"
 #include "src/server/protocol.h"
@@ -56,7 +57,8 @@ class Server {
 
   /// Graceful stop: wakes the accept loop, closes live connections,
   /// drains in-flight points (queued-but-undispatched work is dropped),
-  /// and joins every thread. Idempotent.
+  /// joins every thread and waits until every cache insert is on disk.
+  /// Idempotent.
   void stop();
 
   /// Blocks up to timeoutMs; returns true once a client has issued
@@ -80,7 +82,7 @@ class Server {
   /// the record lines) on `conn`.
   void handleLine(const std::string& line, std::uint64_t clientId,
                   UnixConn& conn);
-  void dispatchLoop();
+  void workerLoop();
   void execTask(const JobTask& task);
   void reapFinishedConns();
 
@@ -89,23 +91,17 @@ class Server {
   Coalescer coalescer_;
   JobQueue queue_;
   UnixListener listener_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::vector<std::thread> workers_;
 
   std::mutex connMu_;
   std::list<ConnSlot> conns_;
   std::uint64_t nextClientId_ = 1;
-
-  // Bounds tasks handed to the pool so the JobQueue keeps deciding order.
-  std::mutex slotMu_;
-  std::condition_variable slotCv_;
-  int freeSlots_ = 0;
 
   std::mutex shutdownMu_;
   std::condition_variable shutdownCv_;
   bool shutdownRequested_ = false;
 
   std::thread acceptThread_;
-  std::thread dispatchThread_;
   std::atomic<bool> stopping_{false};
   bool stopped_ = false;
   std::mutex stopMu_;

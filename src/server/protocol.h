@@ -11,11 +11,23 @@
 //                                     "failed","cache_hits"}
 //   results {job}                 -> {"ok":true,"state":...,"count":K} then
 //                                    K results.jsonl-format record lines
-//                                    (ok points, sorted by point index)
+//                                    (ok points, sorted by point index),
+//                                    all in one buffered send
 //   cancel  {job}                 -> {"ok":true}   (queued points skipped)
-//   stats                         -> {"ok":true, cache/serving counters}
+//   stats                         -> {"ok":true,"simulations","coalesced",
+//                                     "queued_points","jobs":{"active",
+//                                     "retained","expired"},"cache":{...,
+//                                     "hit_ratio","hot_entries","hot_bytes",
+//                                     "hot_hits"}}; hit_ratio is
+//                                    hits/(hits+misses) over lookups, and
+//                                    a point its leader simulates looks
+//                                    the cache up twice
 //   shutdown                      -> {"ok":true} and the daemon begins a
 //                                    graceful stop
+//
+// A finished job whose records the daemon no longer retains answers
+// status and results with state "expired" (results then has count 0);
+// an id never issued is an error.
 //
 // Every error is {"ok":false,"error":...}; backpressure adds
 // "busy":true so clients can distinguish "retry later" from "never".

@@ -99,6 +99,8 @@ struct XmtConfig {
   /// preset; any other key overrides the matching field.
   static XmtConfig fromConfigMap(const ConfigMap& map);
   ConfigMap toConfigMap() const;
+
+  bool operator==(const XmtConfig&) const = default;
 };
 
 }  // namespace xmt

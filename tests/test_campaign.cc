@@ -544,5 +544,102 @@ TEST(WorkloadRegistry, EveryEntryCompilesAndRuns) {
   }
 }
 
+// A small instance of every registered workload, as campaign points.
+std::vector<campaign::CampaignPoint> registryPoints(SimMode mode) {
+  std::vector<campaign::CampaignPoint> points;
+  for (const auto& entry : workloads::workloadRegistry()) {
+    campaign::CampaignPoint p;
+    p.index = static_cast<int>(points.size());
+    p.key = "workload=" + entry.name;
+    p.dims = {{"workload", entry.name}};
+    p.mode = mode;
+    p.workload.name = entry.name;
+    for (const auto& param : entry.params) {
+      if (param == "n") p.workload.params.set(param, std::int64_t{16});
+      else if (param == "threads") p.workload.params.set(param, std::int64_t{4});
+      else if (param == "iters") p.workload.params.set(param, std::int64_t{4});
+      else if (param == "buckets") p.workload.params.set(param, std::int64_t{4});
+      else if (param == "degree") p.workload.params.set(param, std::int64_t{2});
+      else if (param == "seed") p.workload.params.set(param, std::int64_t{7});
+    }
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+TEST(Campaign, CompileMemoPayloadsMatchAMemoLessRun) {
+  for (SimMode mode : {SimMode::kFunctional, SimMode::kCycleAccurate}) {
+    std::vector<campaign::CampaignPoint> points = registryPoints(mode);
+    std::vector<campaign::RunPayload> fresh;
+    for (const auto& p : points) {
+      campaign::clearCompiledPrograms();
+      fresh.push_back(campaign::simulatePoint(p));  // compiles afresh
+      ASSERT_TRUE(fresh.back().ok) << p.key << ": " << fresh.back().error;
+      campaign::RunPayload memo = campaign::simulatePoint(p);  // memo hit
+      EXPECT_EQ(memo.json, fresh.back().json) << p.key;
+    }
+    // With every source in the memo at once, each point still gets its own
+    // program.
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      campaign::RunPayload memo = campaign::simulatePoint(points[i]);
+      EXPECT_EQ(memo.json, fresh[i].json) << points[i].key;
+      EXPECT_EQ(memo.instructions, fresh[i].instructions);
+      EXPECT_EQ(memo.cycles, fresh[i].cycles);
+      EXPECT_EQ(memo.simTimePs, fresh[i].simTimePs);
+    }
+  }
+}
+
+// payloadToRecord splices the grid position onto the payload text; this
+// is the parse-and-dump it must equal byte for byte.
+std::string recordByParseAndDump(const campaign::CampaignPoint& point,
+                                 const std::string& payloadJson) {
+  Json payload = Json::parse(payloadJson);
+  Json j = Json::object();
+  j.set("point", Json::number(static_cast<std::int64_t>(point.index)));
+  j.set("key", Json::str(point.key));
+  Json dims = Json::object();
+  for (const auto& [name, value] : point.dims) dims.set(name, Json::str(value));
+  j.set("dims", std::move(dims));
+  for (const auto& [k, v] : payload.fields()) j.set(k, v);
+  return j.dump();
+}
+
+TEST(Campaign, PayloadToRecordSpliceMatchesParseAndDump) {
+  auto points = CampaignSpec::fromText(
+                    "campaign = splice\nbase = fpga64\nmode = functional\n"
+                    "sweep.clusters = 1,2\nsweep.workload = vadd,histogram\n"
+                    "workload.n = 32\n")
+                    .expand();
+  for (const auto& p : points) {
+    campaign::RunPayload payload = campaign::simulatePoint(p);
+    ASSERT_TRUE(payload.ok) << payload.error;
+    campaign::PointRecord rec = campaign::payloadToRecord(p, payload);
+    EXPECT_EQ(rec.recordJson, recordByParseAndDump(p, payload.json));
+    Json parsed = Json::parse(payload.json);
+    const Json& stats = parsed.at("stats");
+    EXPECT_EQ(rec.instructions,
+              static_cast<std::uint64_t>(stats.at("instructions").asInt()));
+    EXPECT_EQ(rec.cycles, static_cast<std::uint64_t>(stats.at("cycles").asInt()));
+    EXPECT_EQ(rec.simTimePs,
+              static_cast<std::uint64_t>(stats.at("sim_time_ps").asInt()));
+  }
+  // Keys and dims that need escaping, and the empty payload object.
+  campaign::CampaignPoint odd = points[0];
+  odd.index = 12345;
+  odd.key = "a \"quoted\"\tkey\\";
+  odd.dims = {{"x\"y", "line\nbreak"}, {"empty", ""}};
+  campaign::RunPayload payload;
+  payload.ok = true;
+  for (const char* text : {"{}", "{\"a\":[1,2.5,{\"b\":null}],\"s\":\"\\u0001\"}"}) {
+    payload.json = Json::parse(text).dump();
+    EXPECT_EQ(campaign::payloadToRecord(odd, payload).recordJson,
+              recordByParseAndDump(odd, payload.json));
+  }
+  odd.dims.clear();
+  EXPECT_EQ(campaign::payloadToRecord(odd, payload).recordJson,
+            recordByParseAndDump(odd, payload.json));
+}
+
 }  // namespace
 }  // namespace xmt
